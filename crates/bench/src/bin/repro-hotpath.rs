@@ -8,14 +8,23 @@
 //! throughput numbers (legacy-equivalent integrand evaluations per
 //! second over the identical workload) to `BENCH_hotpath.json`.
 //!
-//! Acceptance gate for the hot-path work: `kernel.speedup >= 1.5`.
+//! Those kernel lanes launch 512 threads × 1 bin, where no edge-linked
+//! run forms. The `serving` section times the geometry the service
+//! tiers actually launch — `LaunchConfig::new(1, 1)`, `MathMode::Exact`,
+//! all bins in one chunk — with the lane-lockstep sampler against the
+//! same integrands wrapped in [`ScalarLanes`] (scalar loop only), and
+//! records whether the two agree bit for bit.
+//!
+//! Gates: `serving.bitwise` (always enforced), `kernel.speedup >= 1.5`
+//! and `serving.speedup >= 1.5` (wall-clock: measured and reported under
+//! `--smoke`, enforced only in full runs).
 
 use std::time::Duration;
 
 use gpu_sim::{BinIntegrationKernel, DeviceRule, FusedBinKernel, LaunchConfig, Precision};
 use jsonlite::ObjectBuilder;
 use microbench::Criterion;
-use quadrature::{integrate_bins_sampled, simpson, BinRule};
+use quadrature::{integrate_bins_sampled, simpson, BinRule, MathMode, ScalarLanes};
 use rrc_spectral::RrcIntegrand;
 
 fn ion_levels() -> Vec<RrcIntegrand> {
@@ -47,7 +56,19 @@ fn lane_json(lane: &Lane, seed_evals: u64) -> jsonlite::Value {
         .build()
 }
 
+const SPEEDUP_GATE: f64 = 1.5;
+
+/// A wall-clock speed-up gate: always reported, enforced in full runs.
+fn speedup_gate(pass: bool, smoke: bool) -> jsonlite::Value {
+    ObjectBuilder::new()
+        .field("gate", SPEEDUP_GATE)
+        .field("enforced", !smoke)
+        .field("pass", pass)
+        .build()
+}
+
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let levels = ion_levels();
     let bins = ion_bins();
     let windows: Vec<(f64, f64)> = levels
@@ -65,9 +86,9 @@ fn main() {
     let cfg = LaunchConfig::new(8, 64);
 
     let mut c = Criterion::default()
-        .warm_up_time(Duration::from_millis(400))
-        .measurement_time(Duration::from_millis(1500))
-        .sample_size(30);
+        .warm_up_time(Duration::from_millis(if smoke { 100 } else { 400 }))
+        .measurement_time(Duration::from_millis(if smoke { 300 } else { 1500 }))
+        .sample_size(if smoke { 10 } else { 30 });
 
     // -- SIMT kernel lanes ------------------------------------------------
     let seed_kernel = BinIntegrationKernel {
@@ -87,7 +108,7 @@ fn main() {
         precision: Precision::Double,
         windows: Some(&windows),
         rule: DeviceRule::Simpson { panels: 64 },
-        math: quadrature::MathMode::Exact,
+        math: MathMode::Exact,
     };
     let fused_evals = fused_kernel.execute(cfg, &mut emi);
 
@@ -111,6 +132,35 @@ fn main() {
     c.bench_function("kernel/fused", |b| {
         let mut emi = vec![0.0; bins.len()];
         b.iter(|| fused_kernel.execute(cfg, &mut emi))
+    });
+
+    // -- serving geometry: one thread owns every bin ----------------------
+    let serving_cfg = LaunchConfig::new(1, 1);
+    let scalar_only: Vec<_> = prepared.iter().copied().map(ScalarLanes).collect();
+    let scalar_kernel = FusedBinKernel {
+        integrands: &scalar_only,
+        bins: &bins,
+        precision: Precision::Double,
+        windows: Some(&windows),
+        rule: DeviceRule::Simpson { panels: 64 },
+        math: MathMode::Exact,
+    };
+    let mut lane_out = vec![0.0; bins.len()];
+    let mut scalar_out = vec![0.0; bins.len()];
+    let lane_evals = fused_kernel.execute(serving_cfg, &mut lane_out);
+    let scalar_evals = scalar_kernel.execute(serving_cfg, &mut scalar_out);
+    let bitwise = lane_evals == scalar_evals
+        && lane_out
+            .iter()
+            .zip(&scalar_out)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+
+    eprintln!("timing serving-geometry lanes ...");
+    c.bench_function("serving/scalar", |b| {
+        b.iter(|| scalar_kernel.execute(serving_cfg, &mut scalar_out))
+    });
+    c.bench_function("serving/lanes", |b| {
+        b.iter(|| fused_kernel.execute(serving_cfg, &mut lane_out))
     });
 
     // -- host quadrature lanes (single level, 512 bins) -------------------
@@ -159,10 +209,24 @@ fn main() {
         evals: 2 * 64 + 1 + 511 * (2 * 64) as u64,
     };
 
+    let serving_scalar = Lane {
+        median_ns: by_id("serving/scalar"),
+        evals: scalar_evals,
+    };
+    let serving_lanes = Lane {
+        median_ns: by_id("serving/lanes"),
+        evals: lane_evals,
+    };
+
     let kernel_speedup = kernel_seed.median_ns / kernel_fused.median_ns;
     let quad_speedup = quad_seed.median_ns / quad_fused.median_ns;
+    let serving_speedup = serving_scalar.median_ns / serving_lanes.median_ns;
+    let kernel_pass = smoke || kernel_speedup >= SPEEDUP_GATE;
+    let serving_pass = smoke || serving_speedup >= SPEEDUP_GATE;
+    let pass = bitwise && kernel_pass && serving_pass;
 
     let bundle = ObjectBuilder::new()
+        .field("smoke", smoke)
         .field(
             "workload",
             ObjectBuilder::new()
@@ -178,6 +242,19 @@ fn main() {
                 .field("seed_per_bin", lane_json(&kernel_seed, seed_evals))
                 .field("fused", lane_json(&kernel_fused, seed_evals))
                 .field("speedup", kernel_speedup)
+                .field("gate", speedup_gate(kernel_pass, smoke))
+                .build(),
+        )
+        .field(
+            "serving",
+            ObjectBuilder::new()
+                .field("threads", 1u64)
+                .field("math", "exact")
+                .field("scalar", lane_json(&serving_scalar, seed_evals))
+                .field("lanes", lane_json(&serving_lanes, seed_evals))
+                .field("speedup", serving_speedup)
+                .field("gate", speedup_gate(serving_pass, smoke))
+                .field("bitwise", bitwise)
                 .build(),
         )
         .field(
@@ -189,6 +266,7 @@ fn main() {
                 .build(),
         )
         .field("max_relative_deviation", max_rel)
+        .field("pass", pass)
         .build();
 
     let path = "BENCH_hotpath.json";
@@ -196,8 +274,11 @@ fn main() {
     println!("wrote {path}");
     println!("kernel speedup (fused vs seed per-bin): {kernel_speedup:.2}x");
     println!("quadrature speedup (fused vs seed per-bin): {quad_speedup:.2}x");
+    println!("serving speedup (lanes vs scalar, 1 thread): {serving_speedup:.2}x");
+    assert!(bitwise, "serving geometry: lanes and scalar differ");
     assert!(
-        kernel_speedup >= 1.5,
-        "hot-path acceptance: expected >= 1.5x, got {kernel_speedup:.2}x"
+        pass,
+        "hot-path acceptance: expected >= {SPEEDUP_GATE}x, got kernel \
+         {kernel_speedup:.2}x, serving {serving_speedup:.2}x"
     );
 }

@@ -73,8 +73,8 @@ use hybrid_sched::{
 use mpi_sim::{BoundedQueue, TryPushError};
 use quadrature::MathMode;
 use rrc_spectral::{
-    emissivity_into_mode, ion_integrands, level_window, EnergyGrid, GridPoint, Integrator,
-    PreparedIntegrand, VectorPrepared,
+    emissivity_bins_into_mode, emissivity_into_mode, ion_integrands, level_window, EnergyGrid,
+    GridPoint, Integrator, PreparedIntegrand, VectorPrepared,
 };
 
 use crate::cost::ion_task_cost;
@@ -198,9 +198,8 @@ pub struct IonJob {
     /// The target spectrum grid.
     pub grid: EnergyGrid,
     /// The grid's bin bounds, hoisted once per grid and shared by
-    /// every task (must equal `grid.bin_pairs()`; the GPU path reads
-    /// this table, the CPU path reads the grid — they see identical
-    /// bounds because `bin_pairs` is derived from the same edges).
+    /// every task (must equal `grid.bin_pairs()`): the GPU kernel and
+    /// the worker CPU fallback both integrate over this table.
     pub bins: Arc<Vec<(f64, f64)>>,
     /// Caller correlation id, echoed in the outcome (the batch client
     /// stores the grid-point index here; the service stores the batch
@@ -825,12 +824,12 @@ impl Drop for Engine {
 fn run_cpu_task(config: &EngineConfig, pool: &mut WorkspacePool, job: IonJob) {
     let mut partial = vec![0.0f64; job.grid.bins()];
     let mut ws = pool.acquire();
-    let evals = emissivity_into_mode(
+    let evals = emissivity_bins_into_mode(
         &config.db,
         job.ion_index,
         job.level_range.clone(),
         &job.point,
-        &job.grid,
+        &job.bins,
         config.cpu_integrator,
         &mut ws,
         &mut partial,
@@ -1037,8 +1036,11 @@ fn tuner_loop(adaptive: &Adaptive, devices: &[SimGpu], epoch_tasks: u64) {
         .expect("tuner thread spawns only with a controller");
     let device_secs =
         |devices: &[SimGpu]| -> f64 { devices.iter().map(SimGpu::virtual_busy_seconds).sum() };
-    let mut last_tasks = adaptive.completed.load(Ordering::Relaxed);
-    let mut last_secs = device_secs(devices);
+    // The thread is spawned before the engine accepts its first job,
+    // so the baselines are zero — reading them here instead would miss
+    // whatever completed before this thread was first scheduled.
+    let mut last_tasks = 0u64;
+    let mut last_secs = 0.0f64;
     while !adaptive.stop.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_micros(200));
         let tasks = adaptive.completed.load(Ordering::Relaxed);
@@ -1980,7 +1982,18 @@ mod tests {
                         );
                     }
                 }
-                let snap = engine.scheduler_snapshot();
+                // Every task has completed, so an epoch is due on the
+                // polling controller's next wake-up: wait for it
+                // instead of racing it.
+                let patience = std::time::Instant::now() + Duration::from_secs(30);
+                let snap = loop {
+                    let snap = engine.scheduler_snapshot();
+                    let seen = snap.tuner.as_ref().is_some_and(|t| t.epoch > 0);
+                    if seen || std::time::Instant::now() > patience {
+                        break snap;
+                    }
+                    std::thread::yield_now();
+                };
                 if gpus > 0 {
                     assert!(
                         snap.cost_observations > 0,

@@ -15,9 +15,7 @@
 //! chunk table is computed arithmetically per worker instead of being
 //! heap-allocated per launch.
 
-use quadrature::{
-    integrate_bins_sampled_mode, romberg, simpson, BatchSampler, BinRule, GaussLegendre, MathMode,
-};
+use quadrature::{romberg, simpson, BatchSampler, BinPlan, BinRule, GaussLegendre, MathMode};
 
 /// A CUDA-style launch configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +207,16 @@ impl DeviceRule {
             DeviceRule::Simpson { panels } => 2 * panels.max(1) as u64 + 1,
             DeviceRule::Romberg { k } => quadrature::romberg::romberg_evaluations(k),
             DeviceRule::GaussLegendre { order } => order.clamp(1, 256) as u64,
+        }
+    }
+
+    /// The fused bin-range form of this rule, when it has shareable
+    /// edge nodes.
+    fn bin_rule(&self) -> Option<BinRule> {
+        match *self {
+            DeviceRule::Simpson { panels } => Some(BinRule::Simpson { panels }),
+            DeviceRule::Romberg { k } => Some(BinRule::Romberg { k }),
+            DeviceRule::GaussLegendre { .. } => None,
         }
     }
 
@@ -473,12 +481,25 @@ where
             // Recover this thread's bin offset from the chunking law.
             let start = t * base + t.min(extra);
             let my_bins = &bins[start..start + chunk.len()];
+            // The f64 fused rules share one plan across the levels.
+            let plan = match precision {
+                Precision::Double => rule.bin_rule(),
+                Precision::Single => None,
+            }
+            .map(|rule| BinPlan::new(rule, my_bins, math));
             for (level, f) in integrands.iter().enumerate() {
                 // Private copy: sampling needs `&mut`, the slice is shared.
                 let mut f = *f;
                 let window = windows.map(|w| w[level]);
-                local_evals +=
-                    integrate_chunk(rule, precision, math, &mut f, my_bins, window, chunk);
+                local_evals += integrate_chunk(
+                    rule,
+                    precision,
+                    plan.as_ref(),
+                    &mut f,
+                    my_bins,
+                    window,
+                    chunk,
+                );
             }
             evals.fetch_add(local_evals, std::sync::atomic::Ordering::Relaxed);
         });
@@ -552,11 +573,12 @@ impl WeightedFoldKernel<'_> {
 }
 
 /// Accumulate one integrand over one thread's bin chunk, fusing shared
-/// edges where the rule allows it.
+/// edges where the rule allows it. `plan` is the chunk's [`BinPlan`]
+/// when the rule has an f64 fused form.
 fn integrate_chunk<S: BatchSampler>(
     rule: DeviceRule,
     precision: Precision,
-    math: MathMode,
+    plan: Option<&BinPlan<'_>>,
     s: &mut S,
     bins: &[(f64, f64)],
     window: Option<(f64, f64)>,
@@ -580,11 +602,14 @@ fn integrate_chunk<S: BatchSampler>(
     let bins = &bins[skip..end];
     let out = &mut out[skip..end];
     match (rule, precision) {
-        (DeviceRule::Simpson { panels }, Precision::Double) => {
-            fused_f64(BinRule::Simpson { panels }, math, s, bins, clamped_lo, out)
-        }
-        (DeviceRule::Romberg { k }, Precision::Double) => {
-            fused_f64(BinRule::Romberg { k }, math, s, bins, clamped_lo, out)
+        (DeviceRule::Simpson { .. } | DeviceRule::Romberg { .. }, Precision::Double) => {
+            // The clamped leading bin (if any) integrates alone, the
+            // contiguous remainder as one run.
+            let plan = plan.expect("f64 fused rules carry a plan");
+            match clamped_lo {
+                Some(lo) => plan.integrate_clamped(s, skip..end, lo, out),
+                None => plan.integrate(s, skip..end, out),
+            }
         }
         (DeviceRule::Simpson { panels }, Precision::Single) => {
             fused_simpson_f32(s, bins, clamped_lo, out, panels)
@@ -610,27 +635,6 @@ fn integrate_chunk<S: BatchSampler>(
             }
             evals
         }
-    }
-}
-
-/// f64 fused path: the clamped leading bin (if any) integrates alone,
-/// the contiguous remainder goes through
-/// [`quadrature::integrate_bins_sampled`].
-fn fused_f64<S: BatchSampler>(
-    rule: BinRule,
-    math: MathMode,
-    s: &mut S,
-    bins: &[(f64, f64)],
-    clamped_lo: Option<f64>,
-    out: &mut [f64],
-) -> u64 {
-    match clamped_lo {
-        Some(lo) => {
-            let first = [(lo, bins[0].1)];
-            let evals = integrate_bins_sampled_mode(rule, &mut *s, &first, &mut out[..1], math);
-            evals + integrate_bins_sampled_mode(rule, &mut *s, &bins[1..], &mut out[1..], math)
-        }
-        None => integrate_bins_sampled_mode(rule, s, bins, out, math),
     }
 }
 

@@ -219,3 +219,88 @@ fn fused_kernel_saves_shared_edges() {
     let isolated = 2 * 8 + 1;
     assert_eq!(evals, isolated + (n_bins as u64 - 1) * (isolated - 1));
 }
+
+/// Ten hydrogen-like levels at ~1e7 K, thresholds from inside the bin
+/// range (clamped head bins) down to below it.
+fn rrc_levels() -> Vec<rrc_spectral::PreparedIntegrand> {
+    (1..=10u16)
+        .map(|n| {
+            rrc_spectral::RrcIntegrand::new(862.0, 13.6 * 64.0 / f64::from(n * n), n, 1.0, 1e-4)
+                .prepare()
+        })
+        .collect()
+}
+
+#[test]
+fn lane_lockstep_kernel_equals_per_thread_scalar_execution() {
+    // The prepared RRC integrand advances BIN_LANES bins per step
+    // wherever a simulated thread owns an edge-linked run; wrapped in
+    // `ScalarLanes` the same kernel walks every bin alone. Spectra and
+    // evaluation counts (hence modeled device seconds) must be equal
+    // bit for bit under every launch geometry: one thread owning all
+    // bins (the serving geometry), 64 threads with short runs, and
+    // one-bin threads where no run forms.
+    let levels = rrc_levels();
+    let scalar: Vec<_> = levels
+        .iter()
+        .copied()
+        .map(quadrature::ScalarLanes)
+        .collect();
+    let kt = 862.0;
+    let windows: Vec<(f64, f64)> = levels
+        .iter()
+        .map(|p| (p.threshold_ev, p.threshold_ev + 40.0 * kt))
+        .collect();
+    for n_bins in [1usize, 7, 8, 9, 96, 131] {
+        let linear: Vec<(f64, f64)> = {
+            let edge = |i: usize| 100.0 + 1200.0 * (i as f64 / n_bins as f64);
+            (0..n_bins).map(|i| (edge(i), edge(i + 1))).collect()
+        };
+        let log: Vec<(f64, f64)> = {
+            let edge = |i: usize| 5.0 * 400f64.powf(i as f64 / n_bins as f64);
+            (0..n_bins).map(|i| (edge(i), edge(i + 1))).collect()
+        };
+        for bins in [&linear, &log] {
+            for rule in [
+                DeviceRule::Simpson { panels: 64 },
+                DeviceRule::Simpson { panels: 130 },
+                DeviceRule::Simpson { panels: 3 },
+            ] {
+                for cfg in [
+                    LaunchConfig::new(1, 1),
+                    LaunchConfig::new(4, 16),
+                    LaunchConfig::cover(n_bins),
+                ] {
+                    let mut lane_out = vec![f64::NAN; n_bins];
+                    let lane_evals = FusedBinKernel {
+                        integrands: &levels,
+                        bins,
+                        precision: Precision::Double,
+                        windows: Some(&windows),
+                        rule,
+                        math: quadrature::MathMode::Exact,
+                    }
+                    .execute(cfg, &mut lane_out);
+                    let mut scalar_out = vec![f64::NAN; n_bins];
+                    let scalar_evals = FusedBinKernel {
+                        integrands: &scalar,
+                        bins,
+                        precision: Precision::Double,
+                        windows: Some(&windows),
+                        rule,
+                        math: quadrature::MathMode::Exact,
+                    }
+                    .execute(cfg, &mut scalar_out);
+                    assert_eq!(lane_evals, scalar_evals, "{n_bins} bins {rule:?} {cfg:?}");
+                    for (b, (a, r)) in lane_out.iter().zip(&scalar_out).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            r.to_bits(),
+                            "{n_bins} bins {rule:?} {cfg:?}: bin {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -37,7 +37,8 @@ pub use shared::SharedRegion;
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Wildcard source for [`RankCtx::recv`], like `MPI_ANY_SOURCE`.
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -55,10 +56,51 @@ struct Mailbox {
     signal: Condvar,
 }
 
+/// Reusable rendezvous of all ranks: arrivals of the current
+/// generation, and the generation counter the last arrival bumps.
+struct WorldBarrier {
+    state: Mutex<(usize, u64)>,
+    released: Condvar,
+}
+
 struct CommState {
     size: usize,
     mailboxes: Vec<Mailbox>,
-    barrier: Barrier,
+    barrier: WorldBarrier,
+    /// Set when a rank body panicked: every rank blocked in (or
+    /// arriving at) a barrier or receive panics too instead of waiting
+    /// for a peer that will never come — MPI's all-or-nothing abort.
+    aborted: AtomicBool,
+}
+
+impl CommState {
+    fn check_abort(&self) {
+        assert!(!self.aborted.load(Ordering::SeqCst), "a peer rank panicked");
+    }
+
+    /// Flag the world as aborted and wake every blocked rank. Each
+    /// lock is taken before notifying so a rank between its flag check
+    /// and its wait cannot miss the wake-up.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        drop(self.barrier.state.lock());
+        self.barrier.released.notify_all();
+        for mailbox in &self.mailboxes {
+            drop(mailbox.queue.lock());
+            mailbox.signal.notify_all();
+        }
+    }
+}
+
+/// Aborts the world if the rank body unwinds past it.
+struct AbortOnPanic<'a>(&'a CommState);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
 }
 
 /// Per-rank handle passed to the rank body by [`run`].
@@ -118,6 +160,7 @@ impl RankCtx {
                 });
                 return (src, *value);
             }
+            self.state.check_abort();
             queue = mailbox.signal.wait(queue).expect("mailbox poisoned");
         }
     }
@@ -158,8 +201,23 @@ impl RankCtx {
     }
 
     /// Synchronize all ranks. Reusable.
+    ///
+    /// # Panics
+    /// Panics if a peer rank panicked (it will never arrive).
     pub fn barrier(&self) {
-        self.state.barrier.wait();
+        let barrier = &self.state.barrier;
+        let mut state = barrier.state.lock().expect("barrier poisoned");
+        let generation = state.1;
+        state.0 += 1;
+        if state.0 == self.state.size {
+            *state = (0, generation + 1);
+            barrier.released.notify_all();
+            return;
+        }
+        while state.1 == generation {
+            self.state.check_abort();
+            state = barrier.released.wait(state).expect("barrier poisoned");
+        }
     }
 
     /// Broadcast `value` from `root` to every rank; each rank returns its
@@ -242,8 +300,9 @@ impl RankCtx {
 }
 
 /// Spawn `size` rank threads running `body` and return their results in
-/// rank order. Panics in any rank propagate (the join unwraps), matching
-/// MPI's all-or-nothing job semantics.
+/// rank order. A panic in any rank aborts the world — peers blocked in a
+/// barrier or receive panic too instead of hanging — and propagates (the
+/// join unwraps), matching MPI's all-or-nothing job semantics.
 pub fn run<R, F>(size: usize, body: F) -> Vec<R>
 where
     R: Send,
@@ -258,7 +317,11 @@ where
                 signal: Condvar::new(),
             })
             .collect(),
-        barrier: Barrier::new(size),
+        barrier: WorldBarrier {
+            state: Mutex::new((0, 0)),
+            released: Condvar::new(),
+        },
+        aborted: AtomicBool::new(false),
     });
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..size)
@@ -266,7 +329,11 @@ where
                 let state = Arc::clone(&state);
                 let body = &body;
                 scope.spawn(move || {
-                    let ctx = RankCtx { rank, state };
+                    let _abort = AbortOnPanic(&state);
+                    let ctx = RankCtx {
+                        rank,
+                        state: Arc::clone(&state),
+                    };
                     body(&ctx)
                 })
             })
@@ -408,24 +475,44 @@ mod tests {
     fn try_recv_is_nonblocking() {
         let results = run(2, |ctx| {
             if ctx.rank() == 0 {
-                // Nothing sent yet: must not block.
-                assert!(ctx.try_recv::<u8>(1, 3).is_none());
-                ctx.barrier(); // rank 1 sends before this barrier
-                               // Message may need a moment to be observable after the
-                               // barrier; poll.
-                loop {
-                    if let Some((src, v)) = ctx.try_recv::<u8>(1, 3) {
-                        return (src, v);
-                    }
-                    std::thread::yield_now();
-                }
+                // Rank 1 sends only after the first barrier, so nothing
+                // is queued yet: the probe must return, and empty.
+                let early = ctx.try_recv::<u8>(1, 3);
+                ctx.barrier();
+                ctx.barrier(); // rank 1 has sent before this one
+                (early, ctx.try_recv::<u8>(1, 3))
             } else {
+                ctx.barrier();
                 ctx.send(0, 3, 9u8);
                 ctx.barrier();
-                (usize::MAX, 0)
+                (None, None)
             }
         });
-        assert_eq!(results[0], (1, 9));
+        assert_eq!(results[0], (None, Some((1, 9))));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank panicked")]
+    fn a_rank_panic_releases_peers_blocked_in_a_barrier() {
+        // Without the abort flag rank 1 would wait forever for a peer
+        // that already unwound, and the scope could never join.
+        run(2, |ctx| {
+            if ctx.rank() == 0 {
+                panic!("rank 0 gives up");
+            }
+            ctx.barrier();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank panicked")]
+    fn a_rank_panic_releases_peers_blocked_in_recv() {
+        run(2, |ctx| {
+            if ctx.rank() == 0 {
+                panic!("rank 0 gives up");
+            }
+            let _ = ctx.recv::<u8>(0, 1);
+        });
     }
 
     #[test]

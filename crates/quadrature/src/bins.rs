@@ -16,8 +16,27 @@
 //! the abscissas (`bins[i].1 == bins[i+1].0`); runs whose bins do not
 //! share edges (e.g. a threshold-clamped leading bin) simply fall back
 //! to a fresh evaluation for that bin's lower node.
+//!
+//! # Lane lockstep
+//!
+//! One (integrand, bin) integral is two serial chains — the sampler's
+//! recurrence and the Simpson sum — so a lone bin leaves the vector
+//! units idle. In `Exact` mode a sampler with a lockstep form
+//! ([`BatchSampler::sample_lanes`]) therefore advances
+//! [`BIN_LANES`] edge-linked bins per step, one bin per lane: lane `k`
+//! takes its lower-edge sample from lane `k − 1`'s upper edge and every
+//! lane runs exactly the operation sequence the scalar loop runs for
+//! that bin, so results and evaluation counts are bit-identical. What a
+//! lane needs to know about its node grid depends only on the bins, so
+//! a [`BinPlan`] measures it once for every integrand integrated over
+//! the same bin array. Bins with no cached predecessor edge (the head
+//! of every run), groups the sampler declines, `Vector` mode, Romberg
+//! and samplers without a lockstep form take the scalar loop.
 
-use crate::sampler::{BatchSampler, FnSampler};
+use std::cell::{Cell, OnceCell};
+use std::ops::Range;
+
+use crate::sampler::{BatchSampler, FnSampler, LaneGrid, LaneRow, BIN_LANES};
 use crate::simd::{MathMode, LANES};
 
 /// The composite rule applied per bin by [`integrate_bins`].
@@ -125,10 +144,128 @@ pub fn integrate_bins_sampled_mode<S: BatchSampler>(
     out: &mut [f64],
     math: MathMode,
 ) -> u64 {
-    assert_eq!(out.len(), bins.len(), "out / bins length mismatch");
-    match rule {
-        BinRule::Simpson { panels } => simpson_bins(s, bins, out, panels, math),
-        BinRule::Romberg { k } => romberg_bins(s, bins, out, k, math),
+    BinPlan::new(rule, bins, math).integrate(s, 0..bins.len(), out)
+}
+
+/// A bin array bound to a rule and a math mode, for integrating *many*
+/// integrands over (sub-ranges of) the same bins — the shape of the
+/// spectral kernel, which walks every level of an ion over one grid.
+///
+/// What depends only on `(bins, rule)` is worked out once and shared by
+/// every [`BinPlan::integrate`] call: for `Exact` composite Simpson
+/// that is each bin's [`LaneGrid`] measurement (node expressions,
+/// uniformity verdict, smallest node), which lets a sampler with a
+/// lockstep form ([`BatchSampler::lockstep`]) advance [`BIN_LANES`]
+/// edge-linked bins per step. Results and evaluation counts are
+/// bitwise those of [`integrate_bins_sampled_mode`] on the same range,
+/// which is itself a one-shot plan.
+#[derive(Debug)]
+pub struct BinPlan<'a> {
+    rule: BinRule,
+    bins: &'a [(f64, f64)],
+    math: MathMode,
+    /// One measured grid per [`BIN_LANES`]-aligned block of `bins`,
+    /// built when the first lockstep sampler arrives.
+    lanes: OnceCell<Vec<LaneGrid>>,
+}
+
+impl<'a> BinPlan<'a> {
+    /// Plan integrations of `rule` over `bins` in `math` mode.
+    #[must_use]
+    pub fn new(rule: BinRule, bins: &'a [(f64, f64)], math: MathMode) -> BinPlan<'a> {
+        BinPlan {
+            rule,
+            bins,
+            math,
+            lanes: OnceCell::new(),
+        }
+    }
+
+    /// The planned bin array.
+    #[must_use]
+    pub fn bins(&self) -> &'a [(f64, f64)] {
+        self.bins
+    }
+
+    /// Integrate `s` over `bins[range]`, accumulating into `out` (one
+    /// slot per bin of the range). Returns the number of integrand
+    /// evaluations performed.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != range.len()` or `range` exceeds the bins.
+    pub fn integrate<S: BatchSampler>(
+        &self,
+        s: &mut S,
+        range: Range<usize>,
+        out: &mut [f64],
+    ) -> u64 {
+        assert_eq!(out.len(), range.len(), "out / bins length mismatch");
+        let bins = &self.bins[range.clone()];
+        match self.rule {
+            BinRule::Simpson { panels } => {
+                let n = panels.max(1);
+                // Lanes need an edge-linked bin, so at least two bins.
+                let lanes =
+                    (self.math == MathMode::Exact && bins.len() > 1 && s.lockstep()).then(|| {
+                        LaneTable {
+                            blocks: self.lanes.get_or_init(|| {
+                                self.bins
+                                    .chunks(BIN_LANES)
+                                    .map(|block| LaneGrid::measure(block, n))
+                                    .collect()
+                            }),
+                            offset: range.start,
+                        }
+                    });
+                simpson_bins(s, bins, out, n, self.math, lanes)
+            }
+            BinRule::Romberg { k } => romberg_bins(s, bins, out, k, self.math),
+        }
+    }
+
+    /// [`BinPlan::integrate`] with the first bin's lower limit raised
+    /// to `lo` — a support threshold falling inside that bin. The
+    /// clamped bin is integrated on its own over `[lo, hi]`, the rest of
+    /// the range as one run, exactly as the per-bin rules would.
+    ///
+    /// # Panics
+    /// As [`BinPlan::integrate`], and if `range` is empty.
+    pub fn integrate_clamped<S: BatchSampler>(
+        &self,
+        s: &mut S,
+        range: Range<usize>,
+        lo: f64,
+        out: &mut [f64],
+    ) -> u64 {
+        let first = [(lo, self.bins[range.start].1)];
+        let (head, rest) = out.split_at_mut(1);
+        let evals = BinPlan::new(self.rule, &first, self.math).integrate(&mut *s, 0..1, head);
+        evals + self.integrate(s, range.start + 1..range.end, rest)
+    }
+}
+
+/// The measured lane grids of a plan, addressed by index into the
+/// range being integrated.
+#[derive(Clone, Copy)]
+struct LaneTable<'a> {
+    blocks: &'a [LaneGrid],
+    /// Plan index of the range's first bin.
+    offset: usize,
+}
+
+impl LaneTable<'_> {
+    /// The grids of range bins `i..i + live` (`live <= BIN_LANES`),
+    /// padded with copies of the last one.
+    fn group(&self, i: usize, live: usize) -> LaneGrid {
+        let first = self.offset + i;
+        let mut grid = self.blocks[first / BIN_LANES];
+        if !first.is_multiple_of(BIN_LANES) || live < BIN_LANES {
+            for k in 0..BIN_LANES {
+                let bin = first + k.min(live - 1);
+                grid.copy_lane(k, &self.blocks[bin / BIN_LANES], bin % BIN_LANES);
+            }
+        }
+        grid
     }
 }
 
@@ -205,22 +342,121 @@ fn sum_lanes(vals: &[f64]) -> f64 {
     ((acc[0] + acc[2]) + (acc[1] + acc[3])) + rem
 }
 
+/// Node and value scratch of [`simpson_bins`], parked per thread
+/// between calls so the per-level hot path never allocates. A nested
+/// call (an integrand that itself integrates bins) finds the slot empty
+/// and starts from fresh vectors.
+#[derive(Default)]
+struct SimpsonScratch {
+    xs: Vec<f64>,
+    vals: Vec<f64>,
+    lane_vals: Vec<LaneRow>,
+}
+
+thread_local! {
+    static SIMPSON_SCRATCH: Cell<SimpsonScratch> = Cell::default();
+}
+
+/// Number of leading bins of `bins` (at most [`BIN_LANES`]) that form an
+/// edge-linked run starting at the cached edge abscissa `edge_x`.
+fn linked_run(bins: &[(f64, f64)], edge_x: f64) -> usize {
+    let mut prev = edge_x;
+    let mut run = 0;
+    for &(lo, hi) in bins.iter().take(BIN_LANES) {
+        if lo != prev {
+            break;
+        }
+        prev = hi;
+        run += 1;
+    }
+    run
+}
+
+/// Integrate the first `out.len()` lanes of `grid` — edge-linked bins
+/// whose predecessor's upper-edge sample is `edge_v` — in lockstep,
+/// accumulating into `out`. Every lane performs exactly the operation
+/// sequence the scalar loop of [`simpson_bins`] performs for its bin:
+/// lane `k`'s lower-edge sample is handed over from lane `k − 1`'s
+/// upper edge, and the Simpson sum runs in the same order.
+///
+/// Returns the last live bin's upper-edge sample, or `None` (nothing
+/// written) when the sampler declines the group.
+fn simpson_lane_group<S: BatchSampler>(
+    s: &mut S,
+    grid: &LaneGrid,
+    edge_v: f64,
+    out: &mut [f64],
+    vals: &mut Vec<LaneRow>,
+) -> Option<f64> {
+    let nodes = grid.len();
+    vals.resize(nodes, [0.0; BIN_LANES]);
+    if !s.sample_lanes(grid, vals) {
+        return None;
+    }
+    let last = vals[nodes - 1];
+    let mut sum = [0.0; BIN_LANES];
+    sum[0] = edge_v + last[0];
+    for k in 1..BIN_LANES {
+        sum[k] = last[k - 1] + last[k];
+    }
+    // vals[j] is bin node j + 1: midpoints on even rows, panel ends on
+    // odd rows, the upper edge (already summed) last.
+    for pair in vals[..nodes - 1].chunks(2) {
+        for k in 0..BIN_LANES {
+            sum[k] += 4.0 * pair[0][k];
+        }
+        if let Some(end) = pair.get(1) {
+            for k in 0..BIN_LANES {
+                sum[k] += 2.0 * end[k];
+            }
+        }
+    }
+    let h = grid.panel_width();
+    for (k, slot) in out.iter_mut().enumerate() {
+        *slot += sum[k] * h[k] / 6.0;
+    }
+    Some(last[out.len() - 1])
+}
+
 fn simpson_bins<S: BatchSampler>(
     s: &mut S,
     bins: &[(f64, f64)],
     out: &mut [f64],
-    panels: usize,
+    n: usize,
     math: MathMode,
+    lanes: Option<LaneTable<'_>>,
 ) -> u64 {
-    let n = panels.max(1);
     let mut evals: u64 = 0;
     // The cached sample at the previous bin's upper edge.
     let mut edge: Option<(f64, f64)> = None;
-    // Node and value scratch, reused across bins.
-    let mut xs: Vec<f64> = Vec::with_capacity(2 * n + 1);
-    let mut vals: Vec<f64> = vec![0.0; 2 * n + 1];
-    for (slot, &(lo, hi)) in out.iter_mut().zip(bins) {
-        simpson_nodes(&mut xs, lo, hi, n);
+    let mut scratch = SIMPSON_SCRATCH.take();
+    scratch.vals.resize(2 * n + 1, 0.0);
+    // Bins before this index belong to a group the sampler declined
+    // and take the scalar loop.
+    let mut declined_until = 0;
+    let mut i = 0;
+    while i < bins.len() {
+        if let (Some(table), Some((x, v))) = (lanes, edge) {
+            let live = if i < declined_until {
+                0
+            } else {
+                linked_run(&bins[i..], x)
+            };
+            if live > 0 {
+                let grid = table.group(i, live);
+                let slots = &mut out[i..i + live];
+                if let Some(last) = simpson_lane_group(s, &grid, v, slots, &mut scratch.lane_vals) {
+                    evals += (live * 2 * n) as u64;
+                    edge = Some((bins[i + live - 1].1, last));
+                    i += live;
+                    continue;
+                }
+                declined_until = i + live;
+            }
+        }
+        let (lo, hi) = bins[i];
+        let (xs, vals) = (&mut scratch.xs, &mut scratch.vals);
+        simpson_nodes(xs, lo, hi, n);
         match edge {
             Some((x, v)) if x == lo => {
                 vals[0] = v;
@@ -228,7 +464,7 @@ fn simpson_bins<S: BatchSampler>(
                 evals += 2 * n as u64;
             }
             _ => {
-                s.sample_batch(&xs, &mut vals);
+                s.sample_batch(xs, vals);
                 evals += 2 * n as u64 + 1;
             }
         }
@@ -249,9 +485,11 @@ fn simpson_bins<S: BatchSampler>(
             }
             MathMode::Vector => vals[0] + vals[2 * n] + simpson_interior_lanes(&vals[1..2 * n]),
         };
-        *slot += sum * h / 6.0;
+        out[i] += sum * h / 6.0;
         edge = Some((hi, vals[2 * n]));
+        i += 1;
     }
+    SIMPSON_SCRATCH.set(scratch);
     evals
 }
 
@@ -494,6 +732,57 @@ mod tests {
                 assert_eq!(a, romberg(f, bins[i].0, bins[i].1, k).value);
                 let scale = a.abs().max(1e-300);
                 assert!(((b - a) / scale).abs() <= 1e-12, "k {k} bin {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_grids_hold_the_scalar_nodes_and_verdicts() {
+        use crate::sampler::uniform_step;
+        // Well-formed linear and logarithmic bins, plus lanes a sampler
+        // must refuse: an empty bin (step 0), a reversed one, a bin so
+        // narrow its nodes collapse, and NaN bounds.
+        let mut bins = grid(0.3, 9.7, 5);
+        bins.extend((0..5).map(|i| (1.5f64.powi(i), 1.5f64.powi(i + 1))));
+        bins.extend([
+            (2.0, 2.0),
+            (3.0, 1.0),
+            (1e9, 1e9 + 1e-7),
+            (f64::NAN, 1.0),
+            (-4.0, -1.0),
+        ]);
+        let mut xs = Vec::new();
+        for panels in [1usize, 2, 3, 64, 130] {
+            for group in bins.chunks(BIN_LANES).chain(bins[3..].chunks(5)) {
+                let lanes = LaneGrid::measure(group, panels);
+                assert_eq!(lanes.len(), 2 * panels);
+                for k in 0..BIN_LANES {
+                    // Short groups repeat their last bin.
+                    let (lo, hi) = group[k.min(group.len() - 1)];
+                    simpson_nodes(&mut xs, lo, hi, panels);
+                    let linked = &xs[1..];
+                    for (j, x) in linked.iter().enumerate() {
+                        assert_eq!(lanes.row(j)[k].to_bits(), x.to_bits(), "node {j}");
+                    }
+                    assert_eq!(
+                        lanes.panel_width()[k].to_bits(),
+                        ((hi - lo) / panels as f64).to_bits()
+                    );
+                    let min = linked.iter().copied().fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        lanes.min()[k].to_bits(),
+                        min.to_bits(),
+                        "min of ({lo}, {hi})"
+                    );
+                    let lane = LaneGrid::measure(&[(lo, hi)], panels);
+                    match uniform_step(linked) {
+                        Some(step) => {
+                            assert!(lane.all_uniform(), "({lo}, {hi}) x {panels}");
+                            assert_eq!(lanes.step()[k].to_bits(), step.to_bits());
+                        }
+                        None => assert!(!lane.all_uniform(), "({lo}, {hi}) x {panels}"),
+                    }
+                }
             }
         }
     }

@@ -58,13 +58,17 @@ pub mod wynn;
 mod error;
 
 pub use adaptive::{qags, qags_with, AdaptiveConfig, QagsWorkspace};
-pub use bins::{integrate_bins, integrate_bins_sampled, integrate_bins_sampled_mode, BinRule};
+pub use bins::{
+    integrate_bins, integrate_bins_sampled, integrate_bins_sampled_mode, BinPlan, BinRule,
+};
 pub use error::{QuadError, QuadResult};
 pub use gauss::GaussLegendre;
 pub use improper::{adaptive_simpson, qagi};
 pub use romberg::romberg;
 pub use rules::{boole, midpoint, simpson, trapezoid, CompositeRule};
-pub use sampler::{BatchSampler, FnSampler};
+pub use sampler::{
+    uniform_step, BatchSampler, FnSampler, LaneGrid, LaneRow, ScalarLanes, BIN_LANES,
+};
 pub use simd::{vexp, vexp1, MathMode};
 
 /// Outcome of a quadrature routine: the integral estimate together with an

@@ -10,8 +10,8 @@
 
 use atomdb::AtomDatabase;
 use quadrature::{
-    integrate_bins_sampled_mode, qags_with, romberg, simpson, AdaptiveConfig, BatchSampler,
-    BinRule, MathMode, QagsWorkspace,
+    qags_with, romberg, simpson, AdaptiveConfig, BatchSampler, BinPlan, BinRule, MathMode,
+    QagsWorkspace,
 };
 
 use crate::grid::EnergyGrid;
@@ -171,7 +171,7 @@ pub fn window_bin_range(bins: &[(f64, f64)], threshold: f64, cutoff: f64) -> (us
 
 /// Accumulate the emissivity of pre-built `integrands` into `out` with
 /// the fused bin-range quadrature: per level, the contiguous run of
-/// in-window bins is integrated in one [`integrate_bins_sampled`] call (shared
+/// in-window bins is integrated in one [`BinPlan::integrate`] call (shared
 /// bin edges evaluated once), with a threshold-clamped leading bin
 /// integrated on its own. The prepared integrand samples each bin's
 /// uniform node grid with its exponential-recurrence batch path, so
@@ -213,22 +213,16 @@ pub fn emissivity_fused_into_mode(
     math: MathMode,
 ) -> u64 {
     assert_eq!(out.len(), bins.len(), "output slice / bins mismatch");
+    // One plan for the whole ion: what depends only on the bins is
+    // worked out once and shared by every level.
+    let plan = BinPlan::new(rule, bins, math);
     let mut integrals = 0u64;
     for integrand in integrands {
         let prepared = integrand.prepare();
+        let window = level_window(integrand.binding_ev, kt_ev);
         integrals += match math {
-            MathMode::Exact => {
-                fused_level(prepared, integrand.binding_ev, kt_ev, rule, bins, out, math)
-            }
-            MathMode::Vector => fused_level(
-                VectorPrepared(prepared),
-                integrand.binding_ev,
-                kt_ev,
-                rule,
-                bins,
-                out,
-                math,
-            ),
+            MathMode::Exact => fused_level(prepared, window, &plan, out),
+            MathMode::Vector => fused_level(VectorPrepared(prepared), window, &plan, out),
         };
     }
     integrals
@@ -238,33 +232,21 @@ pub fn emissivity_fused_into_mode(
 /// selected.
 fn fused_level<S: BatchSampler>(
     mut p: S,
-    binding_ev: f64,
-    kt_ev: f64,
-    rule: BinRule,
-    bins: &[(f64, f64)],
+    (threshold, cutoff): (f64, f64),
+    plan: &BinPlan<'_>,
     out: &mut [f64],
-    math: MathMode,
 ) -> u64 {
-    let (threshold, cutoff) = level_window(binding_ev, kt_ev);
+    let bins = plan.bins();
     let (skip, end, clamped_lo) = window_bin_range(bins, threshold, cutoff);
     if skip >= end {
         return 0;
     }
-    let mut start = skip;
     if clamped_lo > bins[skip].0 {
         // The threshold bin: integrated alone over the clamped
         // sub-interval, exactly as the per-bin path does.
-        integrate_bins_sampled_mode(
-            rule,
-            &mut p,
-            &[(clamped_lo, bins[skip].1)],
-            std::slice::from_mut(&mut out[skip]),
-            math,
-        );
-        start += 1;
-    }
-    if start < end {
-        integrate_bins_sampled_mode(rule, &mut p, &bins[start..end], &mut out[start..end], math);
+        plan.integrate_clamped(&mut p, skip..end, clamped_lo, &mut out[skip..end]);
+    } else {
+        plan.integrate(&mut p, skip..end, &mut out[skip..end]);
     }
     (end - skip) as u64
 }
@@ -329,21 +311,51 @@ pub fn emissivity_into_mode(
     out: &mut [f64],
     math: MathMode,
 ) -> u64 {
-    assert_eq!(out.len(), grid.bins(), "output slice / grid mismatch");
+    emissivity_bins_into_mode(
+        db,
+        ion_index,
+        level_range,
+        point,
+        &grid.bin_pairs(),
+        integrator,
+        ws,
+        out,
+        math,
+    )
+}
+
+/// [`emissivity_into_mode`] over an already materialized bin table
+/// (`grid.bin_pairs()`), for callers that hold one shared by many ion
+/// tasks and should not rebuild it per task.
+///
+/// # Panics
+/// Panics if `out.len() != bins.len()`, `ion_index` is out of range,
+/// or `level_range` exceeds the ion's level list.
+#[allow(clippy::too_many_arguments)]
+pub fn emissivity_bins_into_mode(
+    db: &AtomDatabase,
+    ion_index: usize,
+    level_range: std::ops::Range<usize>,
+    point: &GridPoint,
+    bins: &[(f64, f64)],
+    integrator: Integrator,
+    ws: &mut QagsWorkspace,
+    out: &mut [f64],
+    math: MathMode,
+) -> u64 {
+    assert_eq!(out.len(), bins.len(), "output slice / grid mismatch");
     let Some(integrands) = ion_integrands(db, ion_index, level_range, point) else {
         return 0;
     };
     let kt = point.kt_ev();
     if let Some(rule) = integrator.bin_rule() {
-        let bins = grid.bin_pairs();
-        return emissivity_fused_into_mode(&integrands, kt, rule, &bins, out, math);
+        return emissivity_fused_into_mode(&integrands, kt, rule, bins, out, math);
     }
     let mut integrals = 0u64;
     for integrand in &integrands {
         let p = integrand.prepare();
         let (threshold, cutoff) = level_window(integrand.binding_ev, kt);
-        for (bin, slot) in out.iter_mut().enumerate() {
-            let (lo, hi) = grid.bin(bin);
+        for (slot, &(lo, hi)) in out.iter_mut().zip(bins) {
             if hi <= threshold || lo >= cutoff {
                 continue;
             }

@@ -30,9 +30,9 @@ pub mod response;
 pub mod spectrum;
 
 pub use calculator::{
-    emissivity_fused_into, emissivity_fused_into_mode, emissivity_into, emissivity_into_mode,
-    emissivity_per_bin_into, ion_emissivity_into, ion_emissivity_into_mode, ion_integrands,
-    level_window, window_bin_range, Integrator, SerialCalculator,
+    emissivity_bins_into_mode, emissivity_fused_into, emissivity_fused_into_mode, emissivity_into,
+    emissivity_into_mode, emissivity_per_bin_into, ion_emissivity_into, ion_emissivity_into_mode,
+    ion_integrands, level_window, window_bin_range, Integrator, SerialCalculator,
 };
 pub use delta::{classify_ion, DeltaClass};
 pub use grid::EnergyGrid;

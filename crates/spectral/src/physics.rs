@@ -32,6 +32,7 @@
 //! QAGS fallback and the SIMT kernel all evaluate.
 
 use atomdb::recombination_cross_section_times_energy;
+use quadrature::{uniform_step, LaneGrid, LaneRow, BIN_LANES};
 
 use crate::ME_C2_EV;
 
@@ -118,20 +119,11 @@ impl quadrature::BatchSampler for PreparedIntegrand {
         if n < 4 || self.coeff == 0.0 {
             return per_node(out);
         }
-        let x0 = xs[0];
-        let step = (xs[n - 1] - x0) / (n - 1) as f64;
-        // The grid must be ascending and uniform to within a few ulps of
-        // the node magnitudes (the rounding scale of affine node
-        // computation); anything else takes the exact per-node path.
-        let tol = 8.0 * f64::EPSILON * xs[0].abs().max(xs[n - 1].abs());
-        if step <= 0.0
-            || xs
-                .iter()
-                .enumerate()
-                .any(|(j, &x)| (x - (x0 + j as f64 * step)).abs() > tol)
-        {
+        // Anything but an ascending uniform grid takes the exact
+        // per-node path.
+        let Some(step) = uniform_step(xs) else {
             return per_node(out);
-        }
+        };
         // Zero prefix below threshold, same predicate as `evaluate`.
         let zeros = xs.partition_point(|&x| x - self.threshold_ev < 0.0);
         for o in &mut out[..zeros] {
@@ -150,6 +142,49 @@ impl quadrature::BatchSampler for PreparedIntegrand {
             }
             j = run_end;
         }
+    }
+
+    fn lockstep(&self) -> bool {
+        true
+    }
+
+    /// [`BIN_LANES`] recurrences side by side. Each lane runs the
+    /// operation sequence `sample_batch` runs on its grid — the same
+    /// anchor `exp` arguments, the same 256-node re-anchoring, one
+    /// multiply per node — so the bits cannot differ; only the
+    /// latency-bound `v *= decay` chains now overlap. A grid
+    /// `sample_batch` would not send down the recurrence from its first
+    /// node (fewer than 4 nodes, zero coefficient, non-uniform, any
+    /// node below threshold) declines the whole group.
+    fn sample_lanes(&mut self, grid: &LaneGrid, out: &mut [LaneRow]) -> bool {
+        assert_eq!(grid.len(), out.len(), "grid / out length mismatch");
+        if grid.len() < 4 || self.coeff == 0.0 || !grid.all_uniform() {
+            return false;
+        }
+        // Subtraction rounds monotonically, so a node is below
+        // threshold exactly when the smallest one is.
+        if grid.min().iter().any(|&x| x - self.threshold_ev < 0.0) {
+            return false;
+        }
+        let mut decay = [0.0; BIN_LANES];
+        for (d, &step) in decay.iter_mut().zip(grid.step()) {
+            *d = (-step * self.inv_kt).exp();
+        }
+        for (run, out) in out.chunks_mut(256).enumerate() {
+            let x = grid.row(256 * run);
+            let mut v = [0.0; BIN_LANES];
+            for k in 0..BIN_LANES {
+                v[k] = self.coeff * (-(x[k] - self.threshold_ev) * self.inv_kt).exp();
+            }
+            out[0] = v;
+            for o in &mut out[1..] {
+                for k in 0..BIN_LANES {
+                    v[k] *= decay[k];
+                }
+                *o = v;
+            }
+        }
+        true
     }
 }
 
