@@ -232,7 +232,6 @@ fn tuned_engine_config(db: &Arc<AtomDatabase>, gpus: usize, policy: SchedPolicy)
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 2,
         queue_depth: 8,
         deterministic_kernel: true,
         math: MathMode::Exact,

@@ -60,7 +60,6 @@ fn engine_config(
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 1,
         queue_depth: 8,
         deterministic_kernel: true,
         math: MathMode::Exact,

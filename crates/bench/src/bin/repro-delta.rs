@@ -44,7 +44,6 @@ fn engine_config(db: &Arc<AtomDatabase>, gpus: usize, policy: SchedPolicy) -> En
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 1,
         queue_depth: 8,
         deterministic_kernel: true,
         math: MathMode::Exact,

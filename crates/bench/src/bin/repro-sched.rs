@@ -239,7 +239,6 @@ fn engine_parity(policy: SchedPolicy, max_z: u8, bins: usize) -> EngineRun {
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 2,
         queue_depth: 8,
         deterministic_kernel: true,
         math: quadrature::MathMode::Exact,

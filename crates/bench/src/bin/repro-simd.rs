@@ -95,7 +95,6 @@ fn engine_config(db: &Arc<AtomDatabase>, gpus: usize, pack_threshold: u64) -> En
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 1,
         queue_depth: 64,
         deterministic_kernel: true,
         math: MathMode::Exact,

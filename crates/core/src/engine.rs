@@ -27,16 +27,28 @@
 //! back to its CPU ([`Scheduler::release_to_cpu`]) and stages the
 //! lighter incoming task in the freed slot.
 //!
-//! ## Stream-overlapped device execution
+//! ## Synchronous device lanes
 //!
-//! Each pump drives its device through two [`gpu_sim::Stream`]s: the
-//! kernel of ion *k* launches in the compute stream; a recorded
-//! [`gpu_sim::StreamEvent`] gates the copy stream, whose D2H copy-back
-//! and outcome settle run **on the device's DMA engines**
-//! ([`gpu_sim::SimGpu::submit_dma`]). The pump launches ion *k+1* as
-//! soon as *k*'s settle is enqueued, so copy-back and settle overlap
-//! the next kernel even on a Fermi device with a single serial compute
-//! queue — the asynchronous executor the paper's §V names as missing.
+//! A lane is one thread. The pump runs each task's kernel **itself**,
+//! as the device's work ([`gpu_sim::SimGpu::run_inline`]: the busy-time,
+//! task and panic accounting of a queued command, the unwind contained),
+//! then settles it — deadline watchdog, copy-back fault point, cost-model
+//! charge, grant free with the observed service time, reply — and only
+//! then looks at its lane again. This is the paper's executor ("the CPU
+//! will be blocked until the result is back"). The simulated device is
+//! a host thread and the settle is accounting, so handing kernel and
+//! settle to further threads overlapped nothing and cost a relay of
+//! wake-ups per ion that, once the kernel was fast, matched the kernel
+//! itself (DESIGN.md "Synchronous device lanes" has the measurements).
+//!
+//! ## One wake per fan-out
+//!
+//! A request is a set of ion jobs whose outcomes are wanted together.
+//! [`Engine::fan_out`] submits them and parks the caller **once**: a
+//! countdown rides beside every job inside the engine and is released
+//! wherever the job ends — reply sent, job dropped unanswered, engine
+//! shutting down — so the caller wakes when the last one is accounted
+//! for and can never wait on a job that will not answer.
 //!
 //! ## Placement-invariant numerics
 //!
@@ -53,18 +65,17 @@
 //! dependence — the PR 1 behaviour, kept for the batch runtime and its
 //! benches).
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use atomdb::AtomDatabase;
 use gpu_sim::{
     BinIntegrationKernel, DeviceFault, DevicePtr, DeviceRule, FaultCounters, FusedBinKernel,
-    LaunchConfig, Precision, SimGpu, Stream, TaskHandle,
+    LaunchConfig, Precision, SimGpu,
 };
 use hybrid_sched::{
     CostKey, CostModel, DeviceId, Grant, HealthState, Knob, Next, OnlineTuner, SchedPolicy,
@@ -105,10 +116,6 @@ pub struct EngineConfig {
     /// Route device tasks through the fused hot path (PR 1); `false`
     /// keeps the seed per-bin kernel for A/B runs.
     pub fused: bool,
-    /// Outstanding device settles one pump may hold before blocking.
-    /// The pump always double-buffers (floor 2) — that is the overlap
-    /// tentpole; larger values deepen the pipeline.
-    pub async_window: usize,
     /// Capacity of the bounded ion-task queue feeding the workers —
     /// the engine-tier admission bound.
     pub queue_depth: usize,
@@ -137,7 +144,7 @@ pub struct EngineConfig {
     pub resilience: ResilienceConfig,
     /// Online autotuning: when enabled, a resident
     /// [`hybrid_sched::OnlineTuner`] controller thread retunes the live
-    /// knob block (pack threshold, async window, active ranks — plus
+    /// knob block (pack threshold, active ranks — plus
     /// service-registered dimensions) against decision-epoch signals.
     /// Off by default; every knob it can move is placement/batching
     /// only, so deterministic-kernel numerics stay bitwise invariant.
@@ -160,7 +167,6 @@ impl EngineConfig {
             gpu_precision: cfg.gpu_precision,
             cpu_integrator: cfg.cpu_integrator,
             fused: cfg.fused,
-            async_window: cfg.async_window,
             queue_depth: 2 * cfg.ranks.max(1),
             deterministic_kernel: false,
             math: cfg.math,
@@ -235,9 +241,54 @@ pub struct IonOutcome {
     pub evals: u64,
 }
 
+/// What [`Engine::fan_out`] hands back.
+#[derive(Debug)]
+pub struct FanOut {
+    /// One outcome per answered job, in completion order.
+    pub outcomes: Vec<IonOutcome>,
+    /// The engine began shutting down during submission: the job it
+    /// refused and every job after it were never submitted.
+    pub closed: bool,
+}
+
+/// The caller side of one [`Engine::fan_out`]: how many of its jobs are
+/// still somewhere inside the engine (plus one hold the submitter keeps
+/// until it has submitted them all), and whom to wake at zero.
+struct Countdown {
+    remaining: AtomicUsize,
+    waiter: std::thread::Thread,
+}
+
+/// Rides beside a job through the engine and releases one count of its
+/// fan-out's [`Countdown`] when dropped — after the reply is sent,
+/// when the job is dropped unanswered, when a refused submission hands
+/// it back, or when a thread unwinds with it. Jobs submitted singly
+/// carry an empty ticket.
+struct Ticket(Option<Arc<Countdown>>);
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if let Some(countdown) = &self.0 {
+            // AcqRel: the reply sent before this drop happens-before
+            // the waiter's Acquire read of zero, so its drain of the
+            // reply channel sees every outcome.
+            if countdown.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                countdown.waiter.unpark();
+            }
+        }
+    }
+}
+
+/// A submitted job waiting in the ion-task queue.
+struct Queued {
+    job: IonJob,
+    ticket: Ticket,
+}
+
 /// A granted-but-not-yet-launched device task parked on a steal lane.
 struct StagedTask {
     job: IonJob,
+    ticket: Ticket,
     grant: Grant,
     /// Launch attempts that already failed (0 on first staging); the
     /// recovery ladder bounds this by `resilience.max_retries`.
@@ -249,6 +300,10 @@ struct StagedTask {
     /// possibly-blended cost so measured-vs-static residuals compare
     /// like with like.
     static_cost: u64,
+    /// The granted device's virtual clock when the task was staged on
+    /// its lane: the settle reports the modeled seconds charged since
+    /// as [`gpu_sim::MeasuredCost::queue_wait_s`].
+    staged_virtual_s: f64,
 }
 
 /// Shared adaptive state: the live knob block the hot paths read, the
@@ -376,7 +431,7 @@ pub struct EngineReport {
 /// threads; call [`Engine::shutdown`] (or drop) to drain and join.
 pub struct Engine {
     config: EngineConfig,
-    queue: BoundedQueue<IonJob>,
+    queue: BoundedQueue<Queued>,
     staged: StealQueues<StagedTask>,
     scheduler: Scheduler,
     devices: Arc<Vec<SimGpu>>,
@@ -411,14 +466,14 @@ impl Engine {
             config.resilience.health,
         );
         let fault_stats = Arc::new(FaultStats::default());
-        let queue: BoundedQueue<IonJob> = BoundedQueue::new(config.queue_depth.max(1));
+        let queue: BoundedQueue<Queued> = BoundedQueue::new(config.queue_depth.max(1));
         let staged: StealQueues<StagedTask> = StealQueues::new(config.gpus);
         // The live knob block seeds from the frozen configuration; with
         // tuning disabled nothing ever writes it, so the hot paths read
         // exactly the configured values.
         let knobs = Arc::new(TunerKnobs::new(
             config.pack_threshold,
-            config.async_window as u64,
+            1, // lanes are synchronous: no engine dimension reads the window
             0,
             0,
             config.workers.max(1) as u64,
@@ -430,12 +485,6 @@ impl Engine {
                 min: 0,
                 max: 4096,
                 step: config.tuning.step.max(1),
-            });
-            tuner.add_dim(TunerDim {
-                knob: Knob::AsyncWindow,
-                min: 1,
-                max: config.queue_depth.max(4) as u64,
-                step: 1,
             });
             tuner.add_dim(TunerDim {
                 knob: Knob::ActiveRanks,
@@ -458,11 +507,14 @@ impl Engine {
                 let queue = queue.clone();
                 let scheduler = scheduler.clone();
                 let staged = staged.clone();
+                let devices = Arc::clone(&devices);
                 let config = config.clone();
                 let adaptive = Arc::clone(&adaptive);
                 std::thread::Builder::new()
                     .name(format!("engine-worker-{w}"))
-                    .spawn(move || worker_loop(w, &config, &queue, &scheduler, &staged, &adaptive))
+                    .spawn(move || {
+                        worker_loop(w, &config, &queue, &scheduler, &staged, &devices, &adaptive)
+                    })
                     .expect("spawn engine worker")
             })
             .collect();
@@ -477,15 +529,15 @@ impl Engine {
                 std::thread::Builder::new()
                     .name(format!("engine-pump-{d}"))
                     .spawn(move || {
-                        pump_loop(
+                        pump_loop(&Lane {
                             d,
-                            &config,
-                            &scheduler,
-                            &staged,
-                            &devices,
-                            &fault_stats,
-                            &adaptive,
-                        )
+                            config: &config,
+                            scheduler: &scheduler,
+                            staged: &staged,
+                            devices: &devices,
+                            fault_stats: &fault_stats,
+                            adaptive: &adaptive,
+                        })
                     })
                     .expect("spawn engine pump")
             })
@@ -538,7 +590,8 @@ impl Engine {
     // shutdown; boxing it would push an allocation onto every submit.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, job: IonJob) -> Result<(), IonJob> {
-        self.queue.push(job)
+        let ticket = Ticket(None);
+        self.queue.push(Queued { job, ticket }).map_err(|q| q.job)
     }
 
     /// Non-blocking submit — the admission-control edge: a `Full`
@@ -550,7 +603,59 @@ impl Engine {
     /// during shutdown; the job rides back inside the error.
     #[allow(clippy::result_large_err)] // the error carrying the job back IS the contract
     pub fn try_submit(&self, job: IonJob) -> Result<(), TryPushError<IonJob>> {
-        self.queue.try_push(job)
+        let ticket = Ticket(None);
+        self.queue
+            .try_push(Queued { job, ticket })
+            .map_err(|e| match e {
+                TryPushError::Full(q) => TryPushError::Full(q.job),
+                TryPushError::Closed(q) => TryPushError::Closed(q.job),
+            })
+    }
+
+    /// Submit one job per item — `job` builds it around the reply
+    /// sender it is handed — and return their outcomes, parking the
+    /// caller **once** for the whole set rather than once per reply.
+    /// Submission blocks for queue slots like [`Engine::submit`].
+    ///
+    /// Returns when every submitted job is accounted for, answered or
+    /// not: a job the recovery ladder drops with
+    /// `cpu_fallback_on_fault` off, or one refused because the engine
+    /// is shutting down, simply contributes no outcome (callers re-fan
+    /// the missing ions out or fail them).
+    pub fn fan_out<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        mut job: impl FnMut(T, Sender<IonOutcome>) -> IonJob,
+    ) -> FanOut {
+        let (tx, rx) = channel();
+        let countdown = Arc::new(Countdown {
+            remaining: AtomicUsize::new(1),
+            waiter: std::thread::current(),
+        });
+        let mut closed = false;
+        for item in items {
+            countdown.remaining.fetch_add(1, Ordering::Relaxed);
+            let queued = Queued {
+                job: job(item, tx.clone()),
+                ticket: Ticket(Some(Arc::clone(&countdown))),
+            };
+            // A refusal drops the job and with it the ticket.
+            if self.queue.push(queued).is_err() {
+                closed = true;
+                break;
+            }
+        }
+        // Give up the submitter's own hold (it kept the count above
+        // zero, so no ticket has woken us yet), then sleep until the
+        // last ticket does. `park` may return spuriously: re-check.
+        countdown.remaining.fetch_sub(1, Ordering::AcqRel);
+        while countdown.remaining.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        FanOut {
+            outcomes: rx.try_iter().collect(),
+            closed,
+        }
     }
 
     /// Execute one ion task synchronously on the **caller's** thread —
@@ -729,9 +834,9 @@ impl Engine {
         self.scheduler.health().snapshot()
     }
 
-    /// Graceful shutdown: refuse new work, drain queued jobs, settle
-    /// every in-flight device task (freeing its grant), join workers
-    /// and pumps, and report.
+    /// Graceful shutdown: refuse new work, drain queued jobs, run every
+    /// staged device task to its settle (freeing its grant), join
+    /// workers and pumps, and report.
     #[must_use]
     pub fn shutdown(mut self) -> EngineReport {
         self.drain_and_join()
@@ -821,7 +926,8 @@ impl Drop for Engine {
 }
 
 /// Run one job on the calling worker's CPU and deliver its outcome.
-fn run_cpu_task(config: &EngineConfig, pool: &mut WorkspacePool, job: IonJob) {
+/// The ticket is released on return — after the reply is sent.
+fn run_cpu_task(config: &EngineConfig, pool: &mut WorkspacePool, job: IonJob, _ticket: Ticket) {
     let mut partial = vec![0.0f64; job.grid.bins()];
     let mut ws = pool.acquire();
     let evals = emissivity_bins_into_mode(
@@ -846,17 +952,6 @@ fn run_cpu_task(config: &EngineConfig, pool: &mut WorkspacePool, job: IonJob) {
     });
 }
 
-/// [`run_cpu_task`] callable from any engine thread — pump loops and
-/// DMA settles alike reach it when the recovery ladder falls through
-/// to the host path; each thread keeps its own workspace pool.
-fn fallback_cpu_task(config: &EngineConfig, job: IonJob) {
-    thread_local! {
-        static POOL: std::cell::RefCell<WorkspacePool> =
-            std::cell::RefCell::new(WorkspacePool::new());
-    }
-    POOL.with(|pool| run_cpu_task(config, &mut pool.borrow_mut(), job));
-}
-
 /// Record one device failure in the health ladder: sticky loss
 /// quarantines permanently, anything transient feeds the
 /// consecutive-failure and error-rate thresholds.
@@ -868,69 +963,22 @@ fn note_device_failure(scheduler: &Scheduler, d: usize, fault: DeviceFault) {
     }
 }
 
-/// The recovery ladder for one failed device task: bounded exponential
-/// backoff, then reassignment to another placement-eligible device
-/// (exact grant accounting via [`Scheduler::reassign`]), then a
-/// same-device re-stage if this device may still receive work, then
-/// [`Scheduler::release_to_cpu`] and the host QAGS path. Runs on pump
-/// threads (launch refusals) and DMA settles (kernel/DMA/deadline
-/// failures) alike.
-fn recover_or_fallback(
-    mut task: StagedTask,
-    from: usize,
-    config: &EngineConfig,
-    scheduler: &Scheduler,
-    staged: &StealQueues<StagedTask>,
-    fault_stats: &FaultStats,
-) {
-    let res = &config.resilience;
-    let failures = task.attempts + 1; // the attempt that just failed
-    fault_stats.note_attempts(failures);
-    FaultStats::bump(&fault_stats.task_faults);
-    if failures <= res.max_retries {
-        std::thread::sleep(res.backoff_for(failures));
-        task.attempts = failures;
-        // Prefer moving the grant to a *different* eligible device —
-        // retrying in place is pointless against a sticky loss and
-        // counter-productive against a sick device.
-        for t in (0..scheduler.devices())
-            .filter(|&t| t != from && scheduler.device_eligible(DeviceId(t)))
-        {
-            match scheduler.reassign(task.grant, DeviceId(t)) {
-                Ok(grant) => {
-                    task.grant = grant;
-                    FaultStats::bump(&fault_stats.task_retries);
-                    let deadline = task.job.deadline;
-                    staged.stage_deadline(t, grant.cost, deadline, task);
-                    return;
-                }
-                Err(grant) => task.grant = grant,
-            }
-        }
-        if scheduler.device_eligible(DeviceId(from)) {
-            FaultStats::bump(&fault_stats.task_retries);
-            let deadline = task.job.deadline;
-            staged.stage_deadline(from, task.grant.cost, deadline, task);
-            return;
-        }
-    }
-    // Ladder exhausted (or no device will take the task): drop the
-    // grant from device accounting and run on the host. With the
-    // fallback disabled (ladder tests only) the reply sender drops
-    // unsent and the caller observes a missing outcome.
-    scheduler.release_to_cpu(task.grant);
-    if res.cpu_fallback_on_fault {
-        FaultStats::bump(&fault_stats.cpu_fallbacks);
-        fallback_cpu_task(config, task.job);
-    }
+/// Stage `task` on device `t`'s lane under its grant's cost and its
+/// job's deadline, sampling that device's virtual clock so the settle
+/// can report how long the task sat behind earlier charges.
+fn stage_on(staged: &StealQueues<StagedTask>, devices: &[SimGpu], t: usize, mut task: StagedTask) {
+    task.staged_virtual_s = devices[t].virtual_busy_seconds();
+    let (cost, deadline) = (task.grant.cost, task.job.deadline);
+    staged.stage_deadline(t, cost, deadline, task);
 }
 
 fn worker_loop(
     w: usize,
     config: &EngineConfig,
-    queue: &BoundedQueue<IonJob>,
+    queue: &BoundedQueue<Queued>,
     scheduler: &Scheduler,
     staged: &StealQueues<StagedTask>,
+    devices: &[SimGpu],
     adaptive: &Adaptive,
 ) -> WorkerStats {
     let mut stats = WorkerStats::default();
@@ -944,7 +992,9 @@ fn worker_loop(
         while w as u64 >= adaptive.active_ranks() && !queue.is_closed() {
             std::thread::sleep(Duration::from_micros(200));
         }
-        let Some(job) = queue.pop() else { break };
+        let Some(Queued { job, ticket }) = queue.pop() else {
+            break;
+        };
         let static_cost = ion_task_cost(
             &config.db,
             job.ion_index,
@@ -961,22 +1011,25 @@ fn worker_loop(
         // rescaled by the class's measured seconds-per-unit (exactly
         // the static units until the class has been observed).
         let cost = adaptive.cost.blended(&key, static_cost);
+        let stage = |grant: Grant, job: IonJob, ticket: Ticket| {
+            let task = StagedTask {
+                job,
+                ticket,
+                grant,
+                attempts: 0,
+                key,
+                static_cost,
+                staged_virtual_s: 0.0,
+            };
+            stage_on(staged, devices, grant.device.0, task);
+        };
+        let mut run_here = |job: IonJob, ticket: Ticket| {
+            run_cpu_task(config, &mut pool, job, ticket);
+            stats.cpu_tasks += 1;
+            adaptive.completed.fetch_add(1, Ordering::Relaxed);
+        };
         match scheduler.alloc_cost(cost) {
-            Some(grant) => {
-                let deadline = job.deadline;
-                staged.stage_deadline(
-                    grant.device.0,
-                    cost,
-                    deadline,
-                    StagedTask {
-                        job,
-                        grant,
-                        attempts: 0,
-                        key,
-                        static_cost,
-                    },
-                );
-            }
+            Some(grant) => stage(grant, job, ticket),
             None => {
                 // All device queues full. Before burning this CPU on
                 // the incoming task, check whether a *heavier* task is
@@ -985,36 +1038,15 @@ fn worker_loop(
                 // expected makespan (the slot the swap frees almost
                 // always admits the lighter task).
                 if let Some((_victim, heavy)) = staged.try_steal_over(cost) {
-                    scheduler.release_to_cpu(heavy.item.grant);
+                    let heavy = heavy.item;
+                    scheduler.release_to_cpu(heavy.grant);
                     match scheduler.alloc_cost(cost) {
-                        Some(grant) => {
-                            let deadline = job.deadline;
-                            staged.stage_deadline(
-                                grant.device.0,
-                                cost,
-                                deadline,
-                                StagedTask {
-                                    job,
-                                    grant,
-                                    attempts: 0,
-                                    key,
-                                    static_cost,
-                                },
-                            );
-                        }
-                        None => {
-                            run_cpu_task(config, &mut pool, job);
-                            stats.cpu_tasks += 1;
-                            adaptive.completed.fetch_add(1, Ordering::Relaxed);
-                        }
+                        Some(grant) => stage(grant, job, ticket),
+                        None => run_here(job, ticket),
                     }
-                    run_cpu_task(config, &mut pool, heavy.item.job);
-                    stats.cpu_tasks += 1;
-                    adaptive.completed.fetch_add(1, Ordering::Relaxed);
+                    run_here(heavy.job, heavy.ticket);
                 } else {
-                    run_cpu_task(config, &mut pool, job);
-                    stats.cpu_tasks += 1;
-                    adaptive.completed.fetch_add(1, Ordering::Relaxed);
+                    run_here(job, ticket);
                 }
             }
         }
@@ -1062,91 +1094,84 @@ fn tuner_loop(adaptive: &Adaptive, devices: &[SimGpu], epoch_tasks: u64) {
     }
 }
 
+/// One device lane: what its pump thread needs to carry a staged task
+/// through kernel, settle and recovery without leaving the thread.
+struct Lane<'a> {
+    d: usize,
+    config: &'a EngineConfig,
+    scheduler: &'a Scheduler,
+    staged: &'a StealQueues<StagedTask>,
+    devices: &'a [SimGpu],
+    fault_stats: &'a FaultStats,
+    adaptive: &'a Adaptive,
+}
+
 /// Per-device pump: drain the device's staging lane (stealing when
-/// idle), launch kernels through a compute [`Stream`], and settle each
-/// task — copy-back accounting, grant free with the observed service
-/// time, reply delivery — on the DMA copy stream so it overlaps the
-/// next launch.
+/// idle) and run each task to completion on this thread — kernel, then
+/// settle — before looking at the lane again.
 ///
 /// Every fault point of the simulated device routes through here: a
-/// launch refusal is caught before submission, a kernel panic or
-/// injected stall surfaces in the settle's [`TaskHandle::wait_result`]
-/// (the device worker catches the unwind), a DMA failure or deadline
-/// overrun is detected by the settle itself — and all of them feed
-/// [`recover_or_fallback`]. The pump never exits while its own settles
-/// are in flight, because a settle may re-stage a retry; in closed
-/// mode [`StealQueues::next`] hands leftovers from *any* lane to any
-/// surviving pump, so retries staged during shutdown still drain.
-fn pump_loop(
-    d: usize,
-    config: &EngineConfig,
-    scheduler: &Scheduler,
-    staged: &StealQueues<StagedTask>,
-    devices: &Arc<Vec<SimGpu>>,
-    fault_stats: &Arc<FaultStats>,
-    adaptive: &Arc<Adaptive>,
-) {
-    let device = &devices[d];
-    let compute = Stream::new();
-    let copy = Stream::new();
-    // Recycled device-side result buffers; settles return them here.
-    let bufs: Arc<Mutex<Vec<DevicePtr>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut inflight: VecDeque<TaskHandle<()>> = VecDeque::new();
+/// launch refusal is caught before the kernel runs, a kernel panic is
+/// contained by [`SimGpu::run_inline`] and surfaces as
+/// [`gpu_sim::TaskError::Lost`], an injected stall trips the settle's
+/// deadline watchdog, a DMA failure is detected by the settle itself —
+/// and all of them feed [`Lane::recover_or_fallback`]. A retry may be
+/// re-staged on any lane, including one whose pump has already exited
+/// a closing engine; the pump that re-staged it is still running, and
+/// in closed mode [`StealQueues::next`] hands it leftovers from *any*
+/// lane, so retries staged during shutdown still drain.
+fn pump_loop(lane: &Lane<'_>) {
+    let Lane {
+        d,
+        config,
+        scheduler,
+        staged,
+        ..
+    } = *lane;
+    let device = &lane.devices[d];
+    // The lane's one device-side result buffer (a lane runs one task
+    // at a time), re-sized when a task brings a different bin table.
+    let mut buf: Option<DevicePtr> = None;
 
     loop {
-        // Both pipelining knobs are read fresh each iteration from the
-        // live block (they equal the frozen config when tuning is off).
-        // Double-buffer at minimum: one task settling on the copy
-        // engines while the next one launches on the compute queue.
-        let depth = (adaptive.knobs.async_window() as usize).max(2);
-        let pack_threshold = adaptive.knobs.pack_threshold();
+        // Read fresh each iteration from the live block (equals the
+        // frozen config when tuning is off).
+        let pack_threshold = lane.adaptive.knobs.pack_threshold();
         // Steal only with room to hold the reassigned grant — and only
         // while this device may receive work at all (a quarantined or
         // lost device must not pull tasks toward itself); `next` itself
         // only steals once this lane is empty (device idle).
         let can_steal = scheduler.load(DeviceId(d)) < config.max_queue_len
             && scheduler.device_eligible(DeviceId(d));
-        let (first, was_local) = match staged.next(d, can_steal) {
+        let (mut task, was_local) = match staged.next(d, can_steal) {
             Next::Local(t) => (t.item, true),
             Next::Stolen { victim, task } => match scheduler.reassign(task.item.grant, DeviceId(d))
             {
                 Ok(grant) => (
                     StagedTask {
-                        job: task.item.job,
                         grant,
-                        attempts: task.item.attempts,
-                        key: task.item.key,
-                        static_cost: task.item.static_cost,
+                        staged_virtual_s: device.virtual_busy_seconds(),
+                        ..task.item
                     },
                     false,
                 ),
                 Err(_) => {
-                    // Raced to the bound: hand the task back, settle
-                    // one in-flight task (guaranteed progress, no
-                    // spin), and look again.
+                    // Raced to the bound: hand the task back and look
+                    // again. No spin — the grants that filled this
+                    // device are staged on (or on their way to) this
+                    // lane, and `can_steal` is re-read first.
                     staged.stage(victim, task.cost, task.item);
-                    if let Some(h) = inflight.pop_front() {
-                        let _ = h.wait_result();
-                    }
                     continue;
                 }
             },
-            Next::Closed => {
-                // A settle may still re-stage a retry: wait one out and
-                // look again; exit only with nothing left in flight.
-                if let Some(h) = inflight.pop_front() {
-                    let _ = h.wait_result();
-                    continue;
-                }
-                break;
-            }
+            Next::Closed => break,
         };
 
         // Fault point 1 — kernel launch refusal (or sticky loss),
-        // caught before anything is submitted.
+        // caught before anything runs.
         if let Err(fault) = device.faults().check_launch() {
             note_device_failure(scheduler, d, fault);
-            recover_or_fallback(first, d, config, scheduler, staged, fault_stats);
+            lane.recover_or_fallback(task);
             continue;
         }
 
@@ -1155,8 +1180,8 @@ fn pump_loop(
         // launch (one kernel submission, one D2H copy, one cost-model
         // charge). Stolen heads never pack — their grant just moved and
         // the victim's lane, not ours, holds the related backlog.
-        let mut pack: Vec<StagedTask> = vec![first];
-        if was_local && pack_threshold > 0 && pack[0].grant.cost < pack_threshold {
+        if was_local && pack_threshold > 0 && task.grant.cost < pack_threshold {
+            let mut pack: Vec<StagedTask> = vec![task];
             while pack.len() < config.pack_max.max(2) {
                 let Some(t) = staged.try_next_local_under(d, pack_threshold) else {
                     break;
@@ -1170,266 +1195,157 @@ fn pump_loop(
                     break;
                 }
             }
-        }
-        if pack.len() > 1 {
-            inflight.push_back(aggregated_launch(
-                d,
-                config,
-                scheduler,
-                devices,
-                device,
-                &compute,
-                &copy,
-                pack,
-                staged,
-                fault_stats,
-                adaptive,
-            ));
-            while inflight.len() >= depth {
-                let _ = inflight
-                    .pop_front()
-                    .expect("inflight nonempty by loop guard")
-                    .wait_result();
+            if pack.len() > 1 {
+                lane.aggregated_launch(pack);
+                continue;
             }
-            continue;
+            task = pack.pop().expect("pack holds the head task");
         }
-        let task = pack.pop().expect("pack holds the head task");
-        let (job, grant, attempts) = (task.job, task.grant, task.attempts);
-        let (key, static_cost) = (task.key, task.static_cost);
 
-        let ptr = {
-            let mut pool = bufs.lock().expect("buffer pool poisoned");
-            pool.pop()
-                .or_else(|| device.malloc(8 * job.bins.len() as u64).ok())
-        };
-        let bytes_in = 64 + 16 * (job.level_range.end - job.level_range.start) as u64;
-
-        // Launch the kernel in the compute stream. Fault point 2 rides
-        // inside the closure: `fire_kernel` injects panics (caught by
-        // the device worker — the settle sees `TaskError::Lost`) and
-        // transient stalls (the settle's deadline watchdog sees those).
-        let kernel = kernel_task(
-            &config.db,
-            job.ion_index,
-            job.level_range.clone(),
-            job.point,
-            &job.bins,
-            config.gpu_rule,
-            config.gpu_precision,
-            config.fused,
-            config.deterministic_kernel,
-            config.math,
-        );
-        let injector = device.faults().clone();
-        // Virtual-clock read at submission: the settle's measured
-        // record reports how long the task sat behind earlier charges.
-        let submitted_virtual_s = device.virtual_busy_seconds();
-        let handle = compute.submit(device, move || {
-            injector.fire_kernel();
-            kernel()
-        });
-        let launched_at = Instant::now();
-        let ev = compute.record_event(device);
-
-        // Settle on the copy stream's DMA lane: gated on the kernel's
-        // event, overlapping the next iteration's launch.
-        copy.wait_event_dma(device, ev);
-        let settle = {
-            let devices = Arc::clone(devices);
-            let scheduler = scheduler.clone();
-            let staged = staged.clone();
-            let config = config.clone();
-            let fault_stats = Arc::clone(fault_stats);
-            let bufs = Arc::clone(&bufs);
-            let adaptive = Arc::clone(adaptive);
-            move || {
-                let result = handle.wait_result();
-                let device = &devices[d];
-                let bytes_out = ptr.map_or(0, |b| b.bytes);
-                if let Some(buf) = ptr {
-                    bufs.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(buf);
-                }
-                // Watchdog: the deadline is measured from launch and
-                // enforced here — injected stalls are finite, so the
-                // settle always runs; a late result is discarded and
-                // the task retried. Fault point 3 is the copy-back.
-                let timed_out = config
-                    .resilience
-                    .task_deadline
-                    .is_some_and(|dl| launched_at.elapsed() > dl);
-                let dma_fault = if result.is_ok() && !timed_out {
-                    device.faults().check_dma().err()
-                } else {
-                    None
-                };
-                match result {
-                    Ok((partial, evals)) if !timed_out && dma_fault.is_none() => {
-                        scheduler.health().record_success(d);
-                        FaultStats::bump(&fault_stats.gpu_completions);
-                        let measured = device.charge_task_measured(
-                            evals,
-                            bytes_in,
-                            bytes_out,
-                            submitted_virtual_s,
-                        );
-                        // The in-situ measurement feeds both calibration
-                        // loops: the per-class blend placement consults
-                        // and the per-device seconds-per-unit EWMA.
-                        adaptive
-                            .cost
-                            .observe(&key, static_cost, measured.device_s());
-                        scheduler.free_observed(grant, measured.device_s());
-                        adaptive.completed.fetch_add(1, Ordering::Relaxed);
-                        let _ = job.reply.send(IonOutcome {
-                            ion_index: job.ion_index,
-                            level_start: job.level_range.start,
-                            tag: job.tag,
-                            partial,
-                            path: ExecPath::Gpu(d),
-                            evals,
-                        });
-                    }
-                    result => {
-                        if result.is_err() {
-                            // Kernel panic — or the whole device went.
-                            let fault = if device.faults().is_lost() {
-                                DeviceFault::Lost
-                            } else {
-                                DeviceFault::LaunchFailed
-                            };
-                            note_device_failure(&scheduler, d, fault);
-                        } else if timed_out {
-                            FaultStats::bump(&fault_stats.task_timeouts);
-                            scheduler.health().record_failure(d);
-                        } else if let Some(fault) = dma_fault {
-                            note_device_failure(&scheduler, d, fault);
-                        }
-                        recover_or_fallback(
-                            StagedTask {
-                                job,
-                                grant,
-                                attempts,
-                                key,
-                                static_cost,
-                            },
-                            d,
-                            &config,
-                            &scheduler,
-                            &staged,
-                            &fault_stats,
-                        );
-                    }
-                }
+        let bytes = 8 * task.job.bins.len() as u64;
+        if buf.map(|b| b.bytes) != Some(bytes) {
+            if let Some(old) = buf.take() {
+                device.free(old);
             }
-        };
-        inflight.push_back(copy.submit_dma(device, settle));
-        while inflight.len() >= depth {
-            let _ = inflight
-                .pop_front()
-                .expect("inflight nonempty by loop guard")
-                .wait_result();
+            buf = device.malloc(bytes).ok();
         }
+        lane.launch(task, buf.map_or(0, |b| b.bytes));
     }
-    // Drain every outstanding settle (frees every grant).
-    while let Some(h) = inflight.pop_front() {
-        let _ = h.wait_result();
-    }
-    // Return pooled device buffers to the arena.
-    for ptr in bufs
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .drain(..)
-    {
+    if let Some(ptr) = buf {
         device.free(ptr);
     }
 }
 
-/// Submit one aggregated launch for `pack` (≥ 2 small tasks): every
-/// packed ion's kernel runs sequentially inside **one** compute-stream
-/// submission writing its own region of one fresh device buffer, one
-/// event gates **one** DMA settle, and the settle makes **one**
-/// cost-model charge for the whole pack — amortizing the per-launch
-/// and per-transfer overheads that dominate tiny-ion workloads. The
-/// per-ion operation sequence is exactly the single-task path's, so
-/// Exact-mode partials are bitwise identical with aggregation on or
-/// off; the observed service time is apportioned to each grant by its
-/// cost fraction so the scheduler's seconds-per-unit EWMA stays
-/// calibrated.
-#[allow(clippy::too_many_arguments)]
-fn aggregated_launch(
-    d: usize,
-    config: &EngineConfig,
-    scheduler: &Scheduler,
-    devices: &Arc<Vec<SimGpu>>,
-    device: &SimGpu,
-    compute: &Stream,
-    copy: &Stream,
-    pack: Vec<StagedTask>,
-    staged: &StealQueues<StagedTask>,
-    fault_stats: &Arc<FaultStats>,
-    adaptive: &Arc<Adaptive>,
-) -> TaskHandle<()> {
-    // Pooled single-task buffers are sized for one ion's bins; a pack
-    // allocates (and frees, in its settle) one buffer spanning every
-    // packed ion's output slice.
-    let nbins = pack[0].job.bins.len();
-    let ptr = device.malloc(8 * (nbins * pack.len()) as u64).ok();
-    let total_cost: u64 = pack.iter().map(|t| t.grant.cost.max(1)).sum();
-    let bytes_in: u64 = pack
-        .iter()
-        .map(|t| 64 + 16 * (t.job.level_range.end - t.job.level_range.start) as u64)
-        .sum();
+impl Lane<'_> {
+    /// Run one task on this thread as the device's work: the kernel,
+    /// then the settle — copy-back accounting over `bytes_out` result
+    /// bytes, grant free with the observed service time, reply.
+    fn launch(&self, task: StagedTask, bytes_out: u64) {
+        let (d, config, scheduler) = (self.d, self.config, self.scheduler);
+        let device = &self.devices[d];
+        let bytes_in = 64 + 16 * task.job.level_range.len() as u64;
 
-    let mut tasks = Vec::with_capacity(pack.len());
-    for member in &pack {
-        let job = &member.job;
-        tasks.push(kernel_task(
-            &config.db,
-            job.ion_index,
-            job.level_range.clone(),
-            job.point,
-            &job.bins,
-            config.gpu_rule,
-            config.gpu_precision,
-            config.fused,
-            config.deterministic_kernel,
-            config.math,
-        ));
+        // Fault point 2 rides inside the device work: `fire_kernel`
+        // injects panics (contained by `run_inline` — the settle sees
+        // `TaskError::Lost`) and transient stalls (the settle's
+        // deadline watchdog sees those).
+        let launched_at = Instant::now();
+        let result = device.run_inline(|| {
+            device.faults().fire_kernel();
+            run_kernel(config, &task.job)
+        });
+
+        // The settle is device work too (on hardware, the copy engine's
+        // turn): same accounting, and a panic in it must not take the
+        // lane down.
+        let _ = device.run_inline(|| {
+            // Watchdog: the deadline is measured from launch and
+            // enforced here — injected stalls are finite, so the
+            // settle always runs; a late result is discarded and the
+            // task retried. Fault point 3 is the copy-back.
+            let timed_out = config
+                .resilience
+                .task_deadline
+                .is_some_and(|dl| launched_at.elapsed() > dl);
+            let dma_fault = if result.is_ok() && !timed_out {
+                device.faults().check_dma().err()
+            } else {
+                None
+            };
+            match result {
+                Ok((partial, evals)) if !timed_out && dma_fault.is_none() => {
+                    scheduler.health().record_success(d);
+                    FaultStats::bump(&self.fault_stats.gpu_completions);
+                    let measured = device.charge_task_measured(
+                        evals,
+                        bytes_in,
+                        bytes_out,
+                        task.staged_virtual_s,
+                    );
+                    // The in-situ measurement feeds both calibration
+                    // loops: the per-class blend placement consults
+                    // and the per-device seconds-per-unit EWMA.
+                    self.adaptive
+                        .cost
+                        .observe(&task.key, task.static_cost, measured.device_s());
+                    scheduler.free_observed(task.grant, measured.device_s());
+                    self.adaptive.completed.fetch_add(1, Ordering::Relaxed);
+                    let job = &task.job;
+                    let _ = job.reply.send(IonOutcome {
+                        ion_index: job.ion_index,
+                        level_start: job.level_range.start,
+                        tag: job.tag,
+                        partial,
+                        path: ExecPath::Gpu(d),
+                        evals,
+                    });
+                }
+                result => {
+                    if result.is_err() {
+                        // Kernel panic — or the whole device went.
+                        let fault = if device.faults().is_lost() {
+                            DeviceFault::Lost
+                        } else {
+                            DeviceFault::LaunchFailed
+                        };
+                        note_device_failure(scheduler, d, fault);
+                    } else if timed_out {
+                        FaultStats::bump(&self.fault_stats.task_timeouts);
+                        scheduler.health().record_failure(d);
+                    } else if let Some(fault) = dma_fault {
+                        note_device_failure(scheduler, d, fault);
+                    }
+                    self.recover_or_fallback(task);
+                }
+            }
+        });
     }
-    // Each packed ion gets its own kernel fault decision, and its own
-    // unwind boundary: one injected panic fails that member alone, not
-    // the whole pack.
-    let injector = device.faults().clone();
-    let submitted_virtual_s = device.virtual_busy_seconds();
-    let handle = compute.submit(device, move || {
-        tasks
-            .into_iter()
-            .map(|t| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    injector.fire_kernel();
-                    t()
-                }))
-                .ok()
+
+    /// One aggregated launch for `pack` (≥ 2 small tasks): every packed
+    /// ion's kernel runs back to back as **one** piece of device work
+    /// writing its own region of one fresh device buffer, and one
+    /// settle makes **one** cost-model charge for the whole pack —
+    /// amortizing the per-launch and per-transfer overheads that
+    /// dominate tiny-ion workloads. The per-ion operation sequence is
+    /// exactly the single-task path's, so Exact-mode partials are
+    /// bitwise identical with aggregation on or off; the observed
+    /// service time is apportioned to each grant by its cost fraction
+    /// so the scheduler's seconds-per-unit EWMA stays calibrated.
+    fn aggregated_launch(&self, pack: Vec<StagedTask>) {
+        let (d, config, scheduler) = (self.d, self.config, self.scheduler);
+        let device = &self.devices[d];
+        // The lane buffer is sized for one ion's bins; a pack allocates
+        // (and frees, in its settle) one buffer spanning every packed
+        // ion's output slice.
+        let nbins = pack[0].job.bins.len();
+        let ptr = device.malloc(8 * (nbins * pack.len()) as u64).ok();
+        let total_cost: u64 = pack.iter().map(|t| t.grant.cost.max(1)).sum();
+        let bytes_in: u64 = pack
+            .iter()
+            .map(|t| 64 + 16 * t.job.level_range.len() as u64)
+            .sum();
+        // The pack waited since its head was staged.
+        let staged_virtual_s = pack[0].staged_virtual_s;
+
+        // Each packed ion gets its own kernel fault decision, and its
+        // own unwind boundary: one injected panic fails that member
+        // alone, not the whole pack.
+        let launched_at = Instant::now();
+        let results: Vec<Option<(Vec<f64>, u64)>> = device
+            .run_inline(|| {
+                pack.iter()
+                    .map(|member| {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            device.faults().fire_kernel();
+                            run_kernel(config, &member.job)
+                        }))
+                        .ok()
+                    })
+                    .collect()
             })
-            .collect::<Vec<Option<(Vec<f64>, u64)>>>()
-    });
-    let launched_at = Instant::now();
-    let ev = compute.record_event(device);
-    copy.wait_event_dma(device, ev);
-    let settle = {
-        let devices = Arc::clone(devices);
-        let scheduler = scheduler.clone();
-        let staged = staged.clone();
-        let config = config.clone();
-        let fault_stats = Arc::clone(fault_stats);
-        let adaptive = Arc::clone(adaptive);
-        move || {
-            // The whole submission only errors if the device worker
-            // itself died; per-member panics were caught inside.
-            let results = handle.wait_result().unwrap_or_default();
-            let device = &devices[d];
+            .expect("per-member panics are caught inside");
+
+        let _ = device.run_inline(|| {
             let bytes_out = ptr.map_or(0, |b| b.bytes);
             let timed_out = config
                 .resilience
@@ -1443,10 +1359,10 @@ fn aggregated_launch(
                 device.faults().check_dma().err()
             };
             if timed_out {
-                FaultStats::bump(&fault_stats.task_timeouts);
+                FaultStats::bump(&self.fault_stats.task_timeouts);
                 scheduler.health().record_failure(d);
             } else if let Some(fault) = dma_fault {
-                note_device_failure(&scheduler, d, fault);
+                note_device_failure(scheduler, d, fault);
             }
             let evals_total: u64 = results
                 .iter()
@@ -1455,31 +1371,30 @@ fn aggregated_launch(
             // ONE launch + ONE transfer for the whole pack — the
             // amortization aggregation buys.
             let measured =
-                device.charge_task_measured(evals_total, bytes_in, bytes_out, submitted_virtual_s);
+                device.charge_task_measured(evals_total, bytes_in, bytes_out, staged_virtual_s);
             let service_s = measured.device_s();
             if let Some(buf) = ptr {
                 device.free(buf);
             }
-            let mut results = results.into_iter();
-            for member in pack {
-                let outcome = results.next().flatten();
+            for (member, outcome) in pack.into_iter().zip(results) {
                 match outcome {
                     Some((partial, evals)) if !timed_out && dma_fault.is_none() => {
                         scheduler.health().record_success(d);
-                        FaultStats::bump(&fault_stats.gpu_completions);
+                        FaultStats::bump(&self.fault_stats.gpu_completions);
                         let share = service_s * member.grant.cost.max(1) as f64 / total_cost as f64;
                         // Each packed member observes its cost-fraction
                         // share of the measured pack time, so packed
                         // classes learn the *amortized* per-unit rate.
-                        adaptive
+                        self.adaptive
                             .cost
                             .observe(&member.key, member.static_cost, share);
                         scheduler.free_observed(member.grant, share);
-                        adaptive.completed.fetch_add(1, Ordering::Relaxed);
-                        let _ = member.job.reply.send(IonOutcome {
-                            ion_index: member.job.ion_index,
-                            level_start: member.job.level_range.start,
-                            tag: member.job.tag,
+                        self.adaptive.completed.fetch_add(1, Ordering::Relaxed);
+                        let job = &member.job;
+                        let _ = job.reply.send(IonOutcome {
+                            ion_index: job.ion_index,
+                            level_start: job.level_range.start,
+                            tag: job.tag,
                             partial,
                             path: ExecPath::Gpu(d),
                             evals,
@@ -1494,106 +1409,152 @@ fn aggregated_launch(
                             } else {
                                 DeviceFault::LaunchFailed
                             };
-                            note_device_failure(&scheduler, d, fault);
+                            note_device_failure(scheduler, d, fault);
                         }
-                        recover_or_fallback(member, d, &config, &scheduler, &staged, &fault_stats);
+                        self.recover_or_fallback(member);
                     }
                 }
             }
-        }
-    };
-    copy.submit_dma(device, settle)
-}
+        });
+    }
 
-/// Build the closure that executes one ion task's kernel on a device
-/// worker: integrand construction, windowing, launch-geometry choice,
-/// and the fused (or seed per-bin) kernel execution. `single_chunk`
-/// selects the deterministic single-chunk launch (see the module
-/// docs); otherwise the covering geometry is used.
-#[allow(clippy::too_many_arguments)]
-fn kernel_task(
-    db: &Arc<AtomDatabase>,
-    ion_index: usize,
-    level_range: Range<usize>,
-    point: GridPoint,
-    bin_pairs: &Arc<Vec<(f64, f64)>>,
-    rule: DeviceRule,
-    precision: Precision,
-    fused: bool,
-    single_chunk: bool,
-    math: MathMode,
-) -> impl FnOnce() -> (Vec<f64>, u64) + Send + 'static {
-    let db = Arc::clone(db);
-    let bin_pairs = Arc::clone(bin_pairs);
-    move || {
-        let mut emi = vec![0.0f64; bin_pairs.len()];
-        let Some(integrands) = ion_integrands(&db, ion_index, level_range, &point) else {
-            return (emi, 0);
-        };
-        let kt = point.kt_ev();
-        let windows: Vec<(f64, f64)> = integrands
-            .iter()
-            .map(|f| level_window(f.binding_ev, kt))
-            .collect();
-        let cfg = if single_chunk {
-            LaunchConfig::new(1, 1)
-        } else {
-            LaunchConfig::cover(bin_pairs.len())
-        };
-        let evals = if fused {
-            // Hot path: prepared 24-byte integrands, fused bin runs,
-            // batched sampling per bin grid — exponential recurrence in
-            // Exact mode, whole-grid `vexp` in Vector mode.
-            let prepared: Vec<PreparedIntegrand> = integrands
-                .iter()
-                .map(rrc_spectral::RrcIntegrand::prepare)
-                .collect();
-            match math {
-                MathMode::Exact => {
-                    let kernel = FusedBinKernel {
-                        integrands: &prepared,
-                        bins: &bin_pairs,
-                        precision,
-                        windows: Some(&windows),
-                        rule,
-                        math,
-                    };
-                    kernel.execute(cfg, &mut emi)
-                }
-                MathMode::Vector => {
-                    let vectored: Vec<VectorPrepared> =
-                        prepared.into_iter().map(VectorPrepared).collect();
-                    let kernel = FusedBinKernel {
-                        integrands: &vectored,
-                        bins: &bin_pairs,
-                        precision,
-                        windows: Some(&windows),
-                        rule,
-                        math,
-                    };
-                    kernel.execute(cfg, &mut emi)
+    /// The recovery ladder for one failed device task: bounded
+    /// exponential backoff, then reassignment to another
+    /// placement-eligible device (exact grant accounting via
+    /// [`Scheduler::reassign`]), then a same-device re-stage if this
+    /// device may still receive work, then
+    /// [`Scheduler::release_to_cpu`] and the host QAGS path on this
+    /// pump's own CPU.
+    fn recover_or_fallback(&self, mut task: StagedTask) {
+        let (from, scheduler, fault_stats) = (self.d, self.scheduler, self.fault_stats);
+        let res = &self.config.resilience;
+        let failures = task.attempts + 1; // the attempt that just failed
+        fault_stats.note_attempts(failures);
+        FaultStats::bump(&fault_stats.task_faults);
+        if failures <= res.max_retries {
+            std::thread::sleep(res.backoff_for(failures));
+            task.attempts = failures;
+            // Prefer moving the grant to a *different* eligible device —
+            // retrying in place is pointless against a sticky loss and
+            // counter-productive against a sick device.
+            for t in (0..scheduler.devices())
+                .filter(|&t| t != from && scheduler.device_eligible(DeviceId(t)))
+            {
+                match scheduler.reassign(task.grant, DeviceId(t)) {
+                    Ok(grant) => {
+                        task.grant = grant;
+                        FaultStats::bump(&fault_stats.task_retries);
+                        stage_on(self.staged, self.devices, t, task);
+                        return;
+                    }
+                    Err(grant) => task.grant = grant,
                 }
             }
-        } else {
-            // Seed path, kept for A/B comparison.
-            let closures: Vec<_> = integrands
-                .iter()
-                .map(|f| {
-                    let f = *f;
-                    move |e: f64| f.evaluate(e)
-                })
-                .collect();
-            let kernel = BinIntegrationKernel {
-                integrands: &closures,
-                bins: &bin_pairs,
-                precision,
-                windows: Some(&windows),
-                rule,
-            };
-            kernel.execute(cfg, &mut emi)
-        };
-        (emi, evals)
+            if scheduler.device_eligible(DeviceId(from)) {
+                FaultStats::bump(&fault_stats.task_retries);
+                stage_on(self.staged, self.devices, from, task);
+                return;
+            }
+        }
+        // Ladder exhausted (or no device will take the task): drop the
+        // grant from device accounting and run on the host. With the
+        // fallback disabled (ladder tests only) the job is dropped
+        // here: its reply sender goes unsent, its ticket is released,
+        // and the caller observes a missing outcome.
+        scheduler.release_to_cpu(task.grant);
+        if res.cpu_fallback_on_fault {
+            FaultStats::bump(&fault_stats.cpu_fallbacks);
+            thread_local! {
+                static POOL: std::cell::RefCell<WorkspacePool> =
+                    std::cell::RefCell::new(WorkspacePool::new());
+            }
+            POOL.with(|pool| {
+                run_cpu_task(self.config, &mut pool.borrow_mut(), task.job, task.ticket);
+            });
+        }
     }
+}
+
+/// Execute one ion task's kernel: integrand construction, windowing,
+/// launch-geometry choice, and the fused (or seed per-bin) kernel
+/// execution. [`EngineConfig::deterministic_kernel`] selects the
+/// single-chunk launch (see the module docs); otherwise the covering
+/// geometry is used.
+fn run_kernel(config: &EngineConfig, job: &IonJob) -> (Vec<f64>, u64) {
+    let bin_pairs: &[(f64, f64)] = &job.bins;
+    let (precision, rule, math) = (config.gpu_precision, config.gpu_rule, config.math);
+    let mut emi = vec![0.0f64; bin_pairs.len()];
+    let Some(integrands) = ion_integrands(
+        &config.db,
+        job.ion_index,
+        job.level_range.clone(),
+        &job.point,
+    ) else {
+        return (emi, 0);
+    };
+    let kt = job.point.kt_ev();
+    let windows: Vec<(f64, f64)> = integrands
+        .iter()
+        .map(|f| level_window(f.binding_ev, kt))
+        .collect();
+    let cfg = if config.deterministic_kernel {
+        LaunchConfig::new(1, 1)
+    } else {
+        LaunchConfig::cover(bin_pairs.len())
+    };
+    let evals = if config.fused {
+        // Hot path: prepared 24-byte integrands, fused bin runs,
+        // batched sampling per bin grid — exponential recurrence in
+        // Exact mode, whole-grid `vexp` in Vector mode.
+        let prepared: Vec<PreparedIntegrand> = integrands
+            .iter()
+            .map(rrc_spectral::RrcIntegrand::prepare)
+            .collect();
+        match math {
+            MathMode::Exact => {
+                let kernel = FusedBinKernel {
+                    integrands: &prepared,
+                    bins: bin_pairs,
+                    precision,
+                    windows: Some(&windows),
+                    rule,
+                    math,
+                };
+                kernel.execute(cfg, &mut emi)
+            }
+            MathMode::Vector => {
+                let vectored: Vec<VectorPrepared> =
+                    prepared.into_iter().map(VectorPrepared).collect();
+                let kernel = FusedBinKernel {
+                    integrands: &vectored,
+                    bins: bin_pairs,
+                    precision,
+                    windows: Some(&windows),
+                    rule,
+                    math,
+                };
+                kernel.execute(cfg, &mut emi)
+            }
+        }
+    } else {
+        // Seed path, kept for A/B comparison.
+        let closures: Vec<_> = integrands
+            .iter()
+            .map(|f| {
+                let f = *f;
+                move |e: f64| f.evaluate(e)
+            })
+            .collect();
+        let kernel = BinIntegrationKernel {
+            integrands: &closures,
+            bins: bin_pairs,
+            precision,
+            windows: Some(&windows),
+            rule,
+        };
+        kernel.execute(cfg, &mut emi)
+    };
+    (emi, evals)
 }
 
 #[cfg(test)]
@@ -1617,7 +1578,6 @@ mod tests {
             gpu_precision: Precision::Double,
             cpu_integrator: Integrator::Simpson { panels: 64 },
             fused: true,
-            async_window: 1,
             queue_depth: 8,
             deterministic_kernel: true,
             math: MathMode::Exact,
@@ -2145,43 +2105,314 @@ mod tests {
         assert!(delivered > 0);
     }
 
-    #[test]
-    fn pipelined_pump_settles_every_task_in_a_deep_window() {
-        // Deep pipeline on one device: many tasks flow through the
-        // double-buffered pump; every outcome arrives, every grant is
-        // freed, and the device carries the whole load.
-        let mut cfg = small_config(1);
-        cfg.async_window = 4;
-        cfg.workers = 2;
-        let engine = Engine::start(cfg);
-        let grid = EnergyGrid::linear(50.0, 2000.0, 48);
+    /// Fan every ion of the engine's database out `waves` times
+    /// through [`Engine::fan_out`] (tag = wave).
+    fn fan_all(engine: &Engine, grid: &EnergyGrid, waves: u64) -> FanOut {
         let bins = Arc::new(grid.bin_pairs());
-        let ions = engine.config().db.ions().len();
+        let db = &engine.config().db;
+        let items = (0..waves).flat_map(|wave| (0..db.ions().len()).map(move |ion| (wave, ion)));
+        engine.fan_out(items, |(wave, ion_index), reply| IonJob {
+            ion_index,
+            level_range: 0..db.levels_by_index(ion_index).len(),
+            point: point(),
+            grid: grid.clone(),
+            bins: Arc::clone(&bins),
+            tag: wave,
+            deadline: f64::INFINITY,
+            reply,
+        })
+    }
+
+    /// [`fan_all`] then shutdown, on a watchdog: a fan-out that never
+    /// returns fails the test instead of hanging it.
+    fn fan_all_then_shutdown(engine: Engine, bins: usize, waves: u64) -> (FanOut, EngineReport) {
         let (tx, rx) = channel();
-        for round in 0..3usize {
-            for ion_index in 0..ions {
-                let levels = engine.config().db.levels_by_index(ion_index).len();
-                engine
-                    .submit(IonJob {
-                        ion_index,
-                        level_range: 0..levels,
-                        point: point(),
-                        grid: grid.clone(),
-                        bins: Arc::clone(&bins),
-                        tag: round as u64,
-                        deadline: f64::INFINITY,
-                        reply: tx.clone(),
-                    })
-                    .ok()
-                    .unwrap();
-            }
+        let run = std::thread::spawn(move || {
+            let fanned = fan_all(&engine, &EnergyGrid::linear(50.0, 2000.0, bins), waves);
+            let _ = tx.send((fanned, engine.shutdown()));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("fan_out must return, not hang");
+        run.join().expect("fan-out thread");
+        result
+    }
+
+    /// Every `(wave, ion)` answered at most once.
+    fn assert_no_duplicates(outcomes: &[IonOutcome]) {
+        let mut seen: Vec<(u64, usize)> = outcomes.iter().map(|o| (o.tag, o.ion_index)).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), outcomes.len(), "an ion was answered twice");
+    }
+
+    fn fast_ladder() -> ResilienceConfig {
+        ResilienceConfig {
+            backoff: Duration::from_micros(20),
+            backoff_cap: Duration::from_micros(200),
+            ..ResilienceConfig::default()
         }
-        drop(tx);
-        let outcomes: Vec<IonOutcome> = rx.iter().collect();
-        assert_eq!(outcomes.len(), 3 * ions);
-        let report = engine.shutdown();
-        assert_eq!(report.gpu_tasks + report.cpu_tasks, 3 * ions as u64);
+    }
+
+    #[test]
+    fn fan_out_returns_exactly_one_outcome_per_job() {
+        for gpus in [0usize, 1, 2] {
+            let engine = Engine::start(small_config(gpus));
+            let ions = engine.config().db.ions().len();
+            let (fanned, report) = fan_all_then_shutdown(engine, 48, 3);
+            assert!(!fanned.closed);
+            assert_eq!(fanned.outcomes.len(), 3 * ions, "gpus={gpus}");
+            assert_no_duplicates(&fanned.outcomes);
+            assert_eq!(report.gpu_tasks + report.cpu_tasks, 3 * ions as u64);
+            assert_eq!(report.leaked_grants, 0, "gpus={gpus}");
+        }
+        // No jobs: nothing to wait for.
+        let engine = Engine::start(small_config(1));
+        let (fanned, report) = fan_all_then_shutdown(engine, 48, 0);
+        assert!(fanned.outcomes.is_empty() && !fanned.closed);
         assert_eq!(report.leaked_grants, 0);
-        assert!(report.gpu_tasks > 0, "device path must be exercised");
+    }
+
+    #[test]
+    fn fan_out_returns_when_jobs_are_dropped_unanswered() {
+        // No retries and no CPU fallback: every injected failure drops
+        // its job on the floor. The fan-out must come back with the
+        // answered jobs only — where `rx.iter()` used to end on
+        // disconnect, the dropped job's ticket now releases the count.
+        let mut cfg = small_config(1);
+        cfg.resilience = ResilienceConfig {
+            max_retries: 0,
+            cpu_fallback_on_fault: false,
+            faults: vec![gpu_sim::FaultPlan::default()
+                .fire_at(gpu_sim::FaultOp::Launch, 0, gpu_sim::FaultKind::LaunchError)
+                .fire_at(gpu_sim::FaultOp::Kernel, 1, gpu_sim::FaultKind::KernelPanic)
+                .fire_at(gpu_sim::FaultOp::Dma, 2, gpu_sim::FaultKind::DmaError)],
+            ..fast_ladder()
+        };
+        let engine = Engine::start(cfg);
+        let ions = engine.config().db.ions().len();
+        let (fanned, report) = fan_all_then_shutdown(engine, 32, 2);
+        assert!(!fanned.closed);
+        assert_eq!(report.task_faults, 3, "each indexed fault fired once");
+        assert_eq!(
+            fanned.outcomes.len(),
+            2 * ions - 3,
+            "dropped jobs are absent"
+        );
+        assert_no_duplicates(&fanned.outcomes);
+        assert_eq!(report.fault_cpu_fallbacks, 0);
+        assert_eq!(report.leaked_grants, 0);
+        assert_eq!(report.worker_panics, 0);
+    }
+
+    #[test]
+    fn fan_out_returns_when_the_engine_closes_underneath_it() {
+        // The queue closes while the fan-out is building job `CUT`
+        // (hand-shake, no sleeps): jobs before it are answered, it and
+        // everything after are never submitted, and the caller returns.
+        const CUT: usize = 5;
+        let engine = Engine::start(small_config(1));
+        let ions = engine.config().db.ions().len();
+        assert!(ions > CUT);
+        let grid = EnergyGrid::linear(50.0, 2000.0, 32);
+        let bins = Arc::new(grid.bin_pairs());
+        let (at_cut_tx, at_cut_rx) = channel::<()>();
+        let (closed_tx, closed_rx) = channel::<()>();
+        let queue = engine.queue.clone();
+        let closer = std::thread::spawn(move || {
+            at_cut_rx.recv().expect("fan-out reaches the cut");
+            queue.close();
+            closed_tx.send(()).expect("fan-out is waiting");
+        });
+        let mut built = 0usize;
+        let fanned = engine.fan_out(0..ions, |ion_index, reply| {
+            if ion_index == CUT {
+                at_cut_tx.send(()).expect("closer is waiting");
+                closed_rx.recv().expect("closer closed the queue");
+            }
+            built += 1;
+            IonJob {
+                ion_index,
+                level_range: 0..engine.config().db.levels_by_index(ion_index).len(),
+                point: point(),
+                grid: grid.clone(),
+                bins: Arc::clone(&bins),
+                tag: 0,
+                deadline: f64::INFINITY,
+                reply,
+            }
+        });
+        closer.join().expect("closer thread");
+        assert!(fanned.closed);
+        assert_eq!(built, CUT + 1, "submission stops at the refusal");
+        let mut answered: Vec<usize> = fanned.outcomes.iter().map(|o| o.ion_index).collect();
+        answered.sort_unstable();
+        assert_eq!(answered, (0..CUT).collect::<Vec<_>>());
+        let report = engine.shutdown();
+        assert_eq!(report.gpu_tasks + report.cpu_tasks, CUT as u64);
+        assert_eq!(report.leaked_grants, 0);
+    }
+
+    #[test]
+    fn kernel_panic_is_contained_on_the_pump_thread() {
+        // The very first kernel panics — on the pump thread itself now.
+        // The unwind must stop at the device boundary: counted as a
+        // device panic, the task retried, the pump alive. A second
+        // fan-out then finds the device idle, so its first jobs are
+        // granted and staged — and only a live pump can answer those.
+        let mut cfg = small_config(1);
+        cfg.resilience = ResilienceConfig {
+            faults: vec![gpu_sim::FaultPlan::default().fire_at(
+                gpu_sim::FaultOp::Kernel,
+                0,
+                gpu_sim::FaultKind::KernelPanic,
+            )],
+            ..fast_ladder()
+        };
+        let engine = Engine::start(cfg);
+        let ions = engine.config().db.ions().len();
+        let grid = EnergyGrid::linear(50.0, 2000.0, 32);
+        let first = fan_all(&engine, &grid, 1);
+        assert_eq!(
+            first.outcomes.len(),
+            ions,
+            "the panicked task still answers"
+        );
+        let second = fan_all(&engine, &grid, 1);
+        assert_eq!(second.outcomes.len(), ions);
+        assert!(
+            second.outcomes.iter().any(|o| o.path == ExecPath::Gpu(0)),
+            "the lane kept serving after the panic"
+        );
+        let report = engine.shutdown();
+        assert_eq!(report.device_panics, vec![1], "tasks_panicked rose");
+        assert_eq!(report.worker_panics, 0, "the pump thread survived");
+        assert_eq!(report.task_faults, 1);
+        assert_eq!(report.task_retries + report.fault_cpu_fallbacks, 1);
+        assert_eq!(report.leaked_grants, 0);
+    }
+
+    #[test]
+    fn stall_beyond_the_task_deadline_is_counted_and_retried() {
+        // The first kernel wedges for well over the watchdog deadline;
+        // its late result is discarded, the overrun counted, the task
+        // retried. (A loaded host may push further kernels over the
+        // deadline too — they ride the same ladder, hence `>=`.)
+        let mut cfg = small_config(1);
+        cfg.resilience = ResilienceConfig {
+            task_deadline: Some(Duration::from_millis(100)),
+            faults: vec![gpu_sim::FaultPlan::default().fire_at(
+                gpu_sim::FaultOp::Kernel,
+                0,
+                gpu_sim::FaultKind::Stall { millis: 250 },
+            )],
+            ..fast_ladder()
+        };
+        let engine = Engine::start(cfg);
+        let ions = engine.config().db.ions().len();
+        let (fanned, report) = fan_all_then_shutdown(engine, 32, 1);
+        assert_eq!(
+            fanned.outcomes.len(),
+            ions,
+            "the stalled task still answers"
+        );
+        assert_no_duplicates(&fanned.outcomes);
+        assert_eq!(report.device_faults[0].stalls, 1);
+        assert!(report.task_timeouts >= 1, "{report:?}");
+        assert!(report.task_retries + report.fault_cpu_fallbacks >= 1);
+        assert_eq!(report.leaked_grants, 0);
+    }
+
+    #[test]
+    fn packed_launch_fails_only_its_panicking_member() {
+        // Drive one aggregated launch by hand (no threads, no timing):
+        // three members, the second one's kernel panics. Its
+        // neighbours must answer from the same launch; it alone rides
+        // the ladder back onto the lane.
+        let mut cfg = small_config(1);
+        cfg.resilience = ResilienceConfig {
+            faults: vec![gpu_sim::FaultPlan::default().fire_at(
+                gpu_sim::FaultOp::Kernel,
+                1,
+                gpu_sim::FaultKind::KernelPanic,
+            )],
+            ..fast_ladder()
+        };
+        let devices = vec![SimGpu::with_faults(
+            gpu_sim::DeviceProps::tesla_c2075(),
+            cfg.resilience.plan_for(0),
+        )];
+        let scheduler = Scheduler::with_policy(1, 8, cfg.policy);
+        let staged: StealQueues<StagedTask> = StealQueues::new(1);
+        let fault_stats = FaultStats::default();
+        let adaptive = Adaptive {
+            knobs: Arc::new(TunerKnobs::new(0, 1, 0, 0, 1)),
+            cost: Arc::new(CostModel::new()),
+            tuner: None,
+            completed: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            signal: Mutex::new(None),
+        };
+        let lane = Lane {
+            d: 0,
+            config: &cfg,
+            scheduler: &scheduler,
+            staged: &staged,
+            devices: &devices,
+            fault_stats: &fault_stats,
+            adaptive: &adaptive,
+        };
+        let grid = EnergyGrid::linear(50.0, 2000.0, 32);
+        let bins = Arc::new(grid.bin_pairs());
+        let (tx, rx) = channel();
+        let pack: Vec<StagedTask> = (0..3usize)
+            .map(|ion_index| StagedTask {
+                job: IonJob {
+                    ion_index,
+                    level_range: 0..cfg.db.levels_by_index(ion_index).len(),
+                    point: point(),
+                    grid: grid.clone(),
+                    bins: Arc::clone(&bins),
+                    tag: 0,
+                    deadline: f64::INFINITY,
+                    reply: tx.clone(),
+                },
+                ticket: Ticket(None),
+                grant: scheduler.alloc_cost(10).expect("a free slot"),
+                attempts: 0,
+                key: CostKey::bucketed(1, 1, 32),
+                static_cost: 10,
+                staged_virtual_s: 0.0,
+            })
+            .collect();
+        drop(tx);
+        lane.aggregated_launch(pack);
+
+        let mut answered: Vec<usize> = rx.try_iter().map(|o| o.ion_index).collect();
+        answered.sort_unstable();
+        assert_eq!(
+            answered,
+            vec![0, 2],
+            "the panicking member alone is unanswered"
+        );
+        assert_eq!(devices[0].faults().counters().kernel_panics, 1);
+        assert_eq!(
+            devices[0].tasks_panicked(),
+            0,
+            "caught at the member boundary"
+        );
+        assert_eq!(fault_stats.task_faults.load(Ordering::Relaxed), 1);
+        assert_eq!(fault_stats.gpu_completions.load(Ordering::Relaxed), 2);
+        // The failed member is back on the lane with its grant — the
+        // only grant still out.
+        assert_eq!(scheduler.in_flight(), 1);
+        match staged.next(0, false) {
+            Next::Local(t) => {
+                assert_eq!((t.item.job.ion_index, t.item.attempts), (1, 1));
+                scheduler.free(t.item.grant);
+            }
+            _ => panic!("expected the retried member back on the lane"),
+        }
+        assert_eq!(scheduler.in_flight(), 0);
     }
 }

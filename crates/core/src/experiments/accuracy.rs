@@ -95,7 +95,6 @@ pub fn run(cfg: AccuracyConfig) -> AccuracyReport {
         // the error scale the paper's Fig. 8 shows (1e-5..1e-4 relative).
         gpu_precision: Precision::Single,
         cpu_integrator: Integrator::paper_cpu(),
-        async_window: 1,
         fused: true,
         math: quadrature::MathMode::Exact,
         pack_threshold: 0,

@@ -38,7 +38,7 @@ pub mod workload;
 pub use calib::Calibration;
 pub use cost::ion_task_cost;
 pub use desmodel::{DesConfig, DesReport};
-pub use engine::{Engine, EngineConfig, EngineReport, ExecPath, IonJob, IonOutcome};
+pub use engine::{Engine, EngineConfig, EngineReport, ExecPath, FanOut, IonJob, IonOutcome};
 pub use hybrid_sched::SchedPolicy;
 pub use hydro::SedovBlast;
 pub use pool::WorkspacePool;

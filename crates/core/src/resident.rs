@@ -54,7 +54,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use gpu_sim::{DevicePtr, LaunchConfig, WeightedFoldKernel};
@@ -413,25 +412,20 @@ impl<'e> ResidentSpectrum<'e> {
         let mut pending: Vec<usize> = ions.to_vec();
         let mut refanouts = 0u32;
         while !pending.is_empty() {
-            let (tx, rx) = channel();
-            for &ion in &pending {
-                let levels = db.levels_by_index(ion).len();
-                let job = IonJob {
-                    ion_index: ion,
-                    level_range: 0..levels,
-                    point: *point,
-                    grid: self.grid.clone(),
-                    bins: Arc::clone(&self.bins),
-                    tag: ion as u64,
-                    deadline: f64::INFINITY,
-                    reply: tx.clone(),
-                };
-                if self.engine.submit(job).is_err() {
-                    return Err(ResidentError::EngineClosed);
-                }
+            let fanned = self.engine.fan_out(&pending, |&ion, reply| IonJob {
+                ion_index: ion,
+                level_range: 0..db.levels_by_index(ion).len(),
+                point: *point,
+                grid: self.grid.clone(),
+                bins: Arc::clone(&self.bins),
+                tag: ion as u64,
+                deadline: f64::INFINITY,
+                reply,
+            });
+            if fanned.closed {
+                return Err(ResidentError::EngineClosed);
             }
-            drop(tx);
-            for outcome in rx {
+            for outcome in fanned.outcomes {
                 let home = match outcome.path {
                     ExecPath::Gpu(d) => Some(d),
                     ExecPath::WorkerCpu | ExecPath::CallerCpu => None,
@@ -574,7 +568,6 @@ mod tests {
             gpu_precision: Precision::Double,
             cpu_integrator: Integrator::Simpson { panels: 64 },
             fused: true,
-            async_window: 1,
             queue_depth: 8,
             deterministic_kernel: true,
             math: MathMode::Exact,

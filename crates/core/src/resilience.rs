@@ -89,9 +89,8 @@ impl ResilienceConfig {
     }
 }
 
-/// Shared recovery counters, bumped from pump threads and DMA settles
-/// alike (settles outlive the pump iteration that spawned them, so the
-/// counters cannot live in the pump-local stats).
+/// Recovery counters shared by every pump thread and read by the
+/// engine's shutdown report.
 #[derive(Debug, Default)]
 pub(crate) struct FaultStats {
     /// Device-task failures observed (launch refusals, kernel panics,

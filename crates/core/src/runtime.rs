@@ -24,7 +24,7 @@ use hybrid_sched::SchedPolicy;
 use quadrature::MathMode;
 use rrc_spectral::{EnergyGrid, Integrator, ParameterSpace, Spectrum};
 
-use crate::engine::{Engine, EngineConfig, IonJob, IonOutcome};
+use crate::engine::{Engine, EngineConfig, IonJob};
 use crate::resilience::ResilienceConfig;
 use crate::task::Granularity;
 
@@ -58,10 +58,6 @@ pub struct HybridConfig {
     pub gpu_precision: Precision,
     /// CPU fallback integrator (paper: QAGS).
     pub cpu_integrator: Integrator,
-    /// Outstanding GPU submissions a rank may hold before blocking.
-    /// `1` reproduces the paper's synchronous mode; larger windows
-    /// implement the asynchronous queuing named as future work in §V.
-    pub async_window: usize,
     /// Route device tasks through the fused hot path
     /// ([`gpu_sim::FusedBinKernel`] over prepared integrands, shared
     /// bin edges evaluated once, bin grids sampled with the
@@ -114,7 +110,6 @@ impl HybridConfig {
             gpu_rule: DeviceRule::Simpson { panels: 64 },
             gpu_precision: Precision::Double,
             cpu_integrator: Integrator::paper_cpu(),
-            async_window: 1,
             fused: true,
             math: MathMode::Exact,
             pack_threshold: 0,
@@ -207,46 +202,47 @@ impl HybridRunner {
         // once and share it, instead of re-deriving it per submission.
         let bin_pairs: Arc<Vec<(f64, f64)>> = Arc::new(cfg.grid.bin_pairs());
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut submitted = 0usize;
-        for point_idx in 0..cfg.space.len() {
+        let tasks = (0..cfg.space.len()).flat_map(|point_idx| {
             let point = cfg.space.point(point_idx).expect("index in range");
-            for ion_index in 0..cfg.db.ions().len() {
+            (0..cfg.db.ions().len()).flat_map(move |ion_index| {
                 let level_count = cfg.db.levels_by_index(ion_index).len();
                 let ranges: Vec<std::ops::Range<usize>> = match cfg.granularity {
                     #[allow(clippy::single_range_in_vec_init)] // one task covering all levels
                     Granularity::Ion => vec![0..level_count],
                     Granularity::Level => (0..level_count).map(|l| l..l + 1).collect(),
                 };
-                for range in ranges {
-                    // Blocking submit: the bounded queue is the
-                    // backpressure edge, the workers drain it
-                    // continuously, so the producer simply waits for a
-                    // slot when it outpaces them.
-                    let job = IonJob {
-                        ion_index,
-                        level_range: range,
-                        point,
-                        grid: cfg.grid.clone(),
-                        bins: Arc::clone(&bin_pairs),
-                        tag: point_idx as u64,
-                        deadline: f64::INFINITY,
-                        reply: tx.clone(),
-                    };
-                    assert!(
-                        engine.submit(job).is_ok(),
-                        "engine stays live for the whole run"
-                    );
-                    submitted += 1;
+                ranges
+                    .into_iter()
+                    .map(move |range| (point_idx, point, ion_index, range))
+            })
+        });
+        // Submission blocks for queue slots: the bounded queue is the
+        // backpressure edge, the workers drain it continuously, so the
+        // producer simply waits when it outpaces them — and then parks
+        // once for the whole run's outcomes.
+        let mut submitted = 0usize;
+        let fanned = engine.fan_out(
+            tasks,
+            |(point_idx, point, ion_index, level_range), reply| {
+                submitted += 1;
+                IonJob {
+                    ion_index,
+                    level_range,
+                    point,
+                    grid: cfg.grid.clone(),
+                    bins: Arc::clone(&bin_pairs),
+                    tag: point_idx as u64,
+                    deadline: f64::INFINITY,
+                    reply,
                 }
-            }
-        }
-        drop(tx);
+            },
+        );
+        assert!(!fanned.closed, "engine stays live for the whole run");
 
-        // Collect every partial, then fold them in a fixed order:
-        // accumulation no longer depends on placement races, so a given
-        // configuration's spectra are reproducible run to run.
-        let mut outcomes: Vec<IonOutcome> = rx.iter().collect();
+        // Fold every partial in a fixed order: accumulation does not
+        // depend on placement races, so a given configuration's
+        // spectra are reproducible run to run.
+        let mut outcomes = fanned.outcomes;
         assert_eq!(outcomes.len(), submitted, "every task must be answered");
         outcomes.sort_by_key(|o| (o.tag, o.ion_index, o.level_start));
         let mut spectra: Vec<Spectrum> = (0..cfg.space.len())
@@ -366,24 +362,6 @@ mod tests {
                 assert!(report.device_peak_memory[d] >= 32 * 8, "device {d}");
             }
         }
-    }
-
-    #[test]
-    fn async_window_preserves_results() {
-        let mut sync_cfg = HybridConfig::small(5, 40, 2);
-        sync_cfg.cpu_integrator = Integrator::Simpson { panels: 64 };
-        let mut async_cfg = sync_cfg.clone();
-        async_cfg.async_window = 6;
-        let a = HybridRunner::new(sync_cfg).run();
-        let b = HybridRunner::new(async_cfg).run();
-        // Task placement races differ run to run, so accumulation order
-        // (and hence the last ulp) may differ; physics must not.
-        for (sa, sb) in a.spectra.iter().zip(&b.spectra) {
-            for (x, y) in sa.bins().iter().zip(sb.bins()) {
-                assert!((x - y).abs() <= 1e-12 * y.abs().max(1e-300));
-            }
-        }
-        assert_eq!(a.gpu_tasks + a.cpu_tasks, b.gpu_tasks + b.cpu_tasks);
     }
 
     #[test]

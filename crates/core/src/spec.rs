@@ -4,7 +4,9 @@
 //! A [`RunSpec`] is the JSON-friendly description of a hybrid run: it
 //! owns no atomic database or device handles, just the knobs. The
 //! `hspec` CLI and batch scripts deserialize one and call
-//! [`RunSpec::into_config`].
+//! [`RunSpec::into_config`]. Unknown keys are ignored; the retired
+//! `"async_window"` is refused by name, so an old spec file cannot
+//! silently change what it runs.
 
 use std::sync::Arc;
 
@@ -75,8 +77,6 @@ pub struct RunSpec {
     pub rule: RuleSpec,
     /// `"single"` or `"double"` kernel arithmetic.
     pub precision: String,
-    /// Outstanding submissions per rank (1 = synchronous).
-    pub async_window: usize,
     /// Use the fused prepared-integrand hot path (default). `false`
     /// selects the legacy per-bin path for A/B comparison.
     pub fused: bool,
@@ -87,7 +87,7 @@ pub struct RunSpec {
     /// aggregated launch (`0` disables aggregation).
     pub pack_threshold: u64,
     /// Run the resident online autotuner (continuous retuning of pack
-    /// threshold, async window and rank pool against live epochs).
+    /// threshold and rank pool against live epochs).
     pub tune: bool,
     /// Completed tasks per tuner decision epoch.
     pub tune_epoch: u64,
@@ -119,7 +119,6 @@ impl Default for RunSpec {
             policy: "cost-aware".to_string(),
             rule: RuleSpec::Simpson { panels: 64 },
             precision: "double".to_string(),
-            async_window: 1,
             fused: true,
             math: "exact".to_string(),
             pack_threshold: 0,
@@ -218,8 +217,10 @@ impl RunSpec {
         if let Some(p) = str_field("precision")? {
             spec.precision = p.to_string();
         }
-        if let Some(w) = usize_field("async_window")? {
-            spec.async_window = w;
+        if obj.get("async_window").is_some() {
+            return Err("'async_window' was removed: device lanes are synchronous; \
+                 only `hspec predict --async-window` models it"
+                .into());
         }
         if let Some(fused) = obj.get("fused") {
             spec.fused = fused
@@ -284,7 +285,6 @@ impl RunSpec {
             .field("granularity", self.granularity.as_str())
             .field("policy", self.policy.as_str())
             .field("precision", self.precision.as_str())
-            .field("async_window", self.async_window)
             .field("fused", self.fused)
             .field("math", self.math.as_str())
             .field("pack_threshold", self.pack_threshold as f64)
@@ -355,7 +355,6 @@ impl RunSpec {
             gpu_rule: self.rule.into(),
             gpu_precision: precision,
             cpu_integrator: Integrator::paper_cpu(),
-            async_window: self.async_window.max(1),
             fused: self.fused,
             math,
             pack_threshold: self.pack_threshold,
@@ -434,6 +433,11 @@ mod tests {
         spec.math = "vector".into();
         spec.temperatures_k.clear();
         assert!(spec.into_config().is_err());
+        // A retired key is refused, not silently dropped.
+        let retired = r#"{"rule": "simpson", "panels": 32, "async_window": 8}"#;
+        assert!(RunSpec::from_json(retired)
+            .unwrap_err()
+            .contains("'async_window' was removed"));
     }
 
     #[test]

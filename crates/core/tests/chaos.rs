@@ -45,7 +45,6 @@ fn chaos_config(gpus: usize, resilience: ResilienceConfig) -> EngineConfig {
         gpu_precision: Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 1,
         queue_depth: 8,
         deterministic_kernel: true,
         math: MathMode::Exact,
@@ -188,7 +187,7 @@ fn random_fault_schedules_preserve_bitwise_parity_and_accounting() {
 fn kernel_panic_mid_run_completes_without_deadlock() {
     // Satellite regression: a panic inside a device kernel must become
     // a task failure (retried, then recovered), never a poisoned lock
-    // or a wedged stream — the run completes and stays bitwise clean.
+    // or a dead pump — the run completes and stays bitwise clean.
     let mut resilience = fast_ladder();
     resilience.faults = vec![FaultPlan::default()
         .fire_at(FaultOp::Kernel, 0, FaultKind::KernelPanic)

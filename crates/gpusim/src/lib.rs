@@ -18,7 +18,6 @@
 //! GPU draining a FIFO command queue serially (Fermi application-level
 //! context switching) or with a small concurrency window (Kepler
 //! Hyper-Q), exactly the two queueing disciplines the paper discusses.
-//! [`stream`] adds CUDA-style ordered streams and events on top.
 //! [`memory`] models the 6 GB on-board memory with an explicit arena so
 //! out-of-memory behaves like `cudaMalloc` failure rather than host
 //! swapping.
@@ -29,7 +28,6 @@ pub mod memory;
 pub mod props;
 pub mod runtime;
 pub mod simt;
-pub mod stream;
 
 pub use cost::{CostModel, MeasuredCost};
 pub use fault::{DeviceFault, FaultCounters, FaultInjector, FaultKind, FaultOp, FaultPlan};
@@ -40,4 +38,3 @@ pub use simt::{
     launch, BinIntegrationKernel, DeviceRule, FusedBinKernel, LaunchConfig, Precision, ThreadCtx,
     WeightedFoldKernel,
 };
-pub use stream::{Stream, StreamEvent};

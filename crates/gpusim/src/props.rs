@@ -36,10 +36,6 @@ pub struct DeviceProps {
     /// Number of simultaneously active tasks the device accepts
     /// (1 on Fermi; >1 with Hyper-Q on Kepler).
     pub concurrent_tasks: u32,
-    /// Dedicated DMA copy engines. Tesla-class Fermi and Kepler cards
-    /// both carry two, which is what lets a D2H copy-back overlap the
-    /// next kernel launch even when `concurrent_tasks` is 1.
-    pub copy_engines: u32,
 }
 
 impl DeviceProps {
@@ -57,7 +53,6 @@ impl DeviceProps {
             memory_bytes: 6 * 1024 * 1024 * 1024,
             pcie_bytes_per_sec: 6.0e9,
             concurrent_tasks: 1,
-            copy_engines: 2,
         }
     }
 
@@ -76,7 +71,6 @@ impl DeviceProps {
             memory_bytes: 5 * 1024 * 1024 * 1024,
             pcie_bytes_per_sec: 6.0e9,
             concurrent_tasks: 32,
-            copy_engines: 2,
         }
     }
 
@@ -97,9 +91,6 @@ mod tests {
         assert_eq!(d.total_cores(), 448);
         assert_eq!(d.architecture, Architecture::Fermi);
         assert_eq!(d.concurrent_tasks, 1);
-        // One task at a time, but two DMA engines: copy-back can still
-        // overlap the next kernel.
-        assert_eq!(d.copy_engines, 2);
         assert!((d.dp_gflops - 515.0).abs() < 1.0);
         assert_eq!(d.memory_bytes, 6 * 1024 * 1024 * 1024);
     }

@@ -9,13 +9,15 @@
 //! Submitted closures run on the worker; the submitting rank blocks on
 //! [`TaskHandle::wait`], which is the paper's synchronous mode ("when a
 //! task is submitted to GPU, the CPU will be blocked until the result
-//! is back").
+//! is back"). A caller that *is* the device's only driver — one engine
+//! pump per device — skips the queue hop and runs the task on its own
+//! thread through [`SimGpu::run_inline`], with the same accounting.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cost::{CostModel, MeasuredCost};
@@ -99,19 +101,14 @@ pub struct DeviceCounters {
     pub panics: AtomicU64,
 }
 
-/// One simulated GPU: props + command queues (compute + DMA) + workers
-/// + on-board memory arena + virtual-time cost accounting.
-///
-/// The DMA queue models the card's dedicated copy engines: commands
-/// submitted through [`SimGpu::submit_dma`] drain on their own worker
-/// threads, so a D2H copy-back can overlap the next kernel even on a
-/// Fermi device whose *compute* queue is strictly serial
-/// (`concurrent_tasks == 1`).
+/// One simulated GPU: props + command queue + workers + on-board
+/// memory arena + virtual-time cost accounting.
 pub struct SimGpu {
     props: DeviceProps,
     queue: Arc<CommandQueue>,
-    dma_queue: Arc<CommandQueue>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Spawned by the first [`SimGpu::submit`]: a device driven only
+    /// through [`SimGpu::run_inline`] owns no thread.
+    workers: OnceLock<Vec<std::thread::JoinHandle<()>>>,
     counters: Arc<DeviceCounters>,
     memory: Arc<Mutex<DeviceMemory>>,
     cost: CostModel,
@@ -186,9 +183,8 @@ impl<R> TaskHandle<R> {
 }
 
 impl SimGpu {
-    /// Bring up a device: spawns `props.concurrent_tasks` compute
-    /// workers sharing one FIFO queue and `props.copy_engines` DMA
-    /// workers draining a second, independent queue.
+    /// Bring up a device: `props.concurrent_tasks` compute workers
+    /// sharing one FIFO queue, started on first use of the queue.
     #[must_use]
     pub fn new(props: DeviceProps) -> SimGpu {
         SimGpu::with_faults(props, FaultPlan::default())
@@ -199,14 +195,26 @@ impl SimGpu {
     /// above consults it at its launch/kernel/DMA fault points.
     #[must_use]
     pub fn with_faults(props: DeviceProps, plan: FaultPlan) -> SimGpu {
-        let queue = Arc::new(CommandQueue::new());
-        let dma_queue = Arc::new(CommandQueue::new());
-        let counters = Arc::new(DeviceCounters::default());
-        let mut workers: Vec<std::thread::JoinHandle<()>> = (0..props.concurrent_tasks.max(1))
+        let memory = Arc::new(Mutex::new(DeviceMemory::new(props.memory_bytes)));
+        let cost = CostModel::from_props(&props);
+        SimGpu {
+            props,
+            queue: Arc::new(CommandQueue::new()),
+            workers: OnceLock::new(),
+            counters: Arc::new(DeviceCounters::default()),
+            memory,
+            cost,
+            virtual_nanos: Arc::new(AtomicU64::new(0)),
+            faults: FaultInjector::new(plan),
+        }
+    }
+
+    fn spawn_workers(&self) -> Vec<std::thread::JoinHandle<()>> {
+        (0..self.props.concurrent_tasks.max(1))
             .map(|w| {
-                let queue = Arc::clone(&queue);
+                let queue = Arc::clone(&self.queue);
                 std::thread::Builder::new()
-                    .name(format!("{}-worker-{w}", props.name))
+                    .name(format!("{}-worker-{w}", self.props.name))
                     // Counters are charged inside the command itself (see
                     // `submit`) so they are visible by the time a
                     // submitter's `wait` returns.
@@ -217,31 +225,7 @@ impl SimGpu {
                     })
                     .expect("spawn device worker")
             })
-            .collect();
-        workers.extend((0..props.copy_engines.max(1)).map(|e| {
-            let dma_queue = Arc::clone(&dma_queue);
-            std::thread::Builder::new()
-                .name(format!("{}-dma-{e}", props.name))
-                .spawn(move || {
-                    while let Some(cmd) = dma_queue.pop() {
-                        cmd();
-                    }
-                })
-                .expect("spawn DMA worker")
-        }));
-        let memory = Arc::new(Mutex::new(DeviceMemory::new(props.memory_bytes)));
-        let cost = CostModel::from_props(&props);
-        SimGpu {
-            props,
-            queue,
-            dma_queue,
-            workers,
-            counters,
-            memory,
-            cost,
-            virtual_nanos: Arc::new(AtomicU64::new(0)),
-            faults: FaultInjector::new(plan),
-        }
+            .collect()
     }
 
     /// Device properties.
@@ -345,6 +329,7 @@ impl SimGpu {
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
+        self.workers.get_or_init(|| self.spawn_workers());
         let (tx, rx) = std::sync::mpsc::channel();
         self.queue.push(make_command(&self.counters, tx, task));
         TaskHandle { result: rx }
@@ -359,29 +344,39 @@ impl SimGpu {
         self.submit(task).wait()
     }
 
-    /// Enqueue `task` on the DMA (copy-engine) queue. Same handle
-    /// semantics as [`SimGpu::submit`], but the work drains on the copy
-    /// engines, independent of — and concurrent with — the compute
-    /// queue. Busy-time counters are charged identically; callers who
-    /// need the compute/copy split apart can read
-    /// [`SimGpu::virtual_busy_seconds`], which only kernel charges
-    /// advance.
-    pub fn submit_dma<R, F>(&self, task: F) -> TaskHandle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.dma_queue.push(make_command(&self.counters, tx, task));
-        TaskHandle { result: rx }
+    /// Run `task` as this device's work **on the calling thread**: the
+    /// synchronous mode without the queue hop, for a caller that is the
+    /// device's only driver and would block on the result anyway. The
+    /// accounting is exactly a queued command's — busy time and task
+    /// count charged, a panicking body caught and counted.
+    ///
+    /// # Errors
+    /// [`TaskError::Lost`] when the task body panicked.
+    pub fn run_inline<R>(&self, task: impl FnOnce() -> R) -> Result<R, TaskError> {
+        run_accounted(&self.counters, task)
     }
 }
 
-/// Wrap a task into a queue command: charge counters, contain panics.
-/// A panicking task body must never kill a device worker (which would
-/// silently stop the whole queue) — the panic is caught, counted, and
-/// surfaced to the submitter as a disconnected result channel
-/// ([`TaskError::Lost`]).
+/// Execute one task body as device work: charge counters, contain
+/// panics. A panicking body must never kill the thread running it (a
+/// dead device worker would silently stop the whole queue) — the panic
+/// is caught, counted, and reported as [`TaskError::Lost`].
+fn run_accounted<R>(counters: &DeviceCounters, task: impl FnOnce() -> R) -> Result<R, TaskError> {
+    let start = Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(task));
+    counters
+        .busy_nanos
+        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    counters.tasks.fetch_add(1, Ordering::Relaxed);
+    result.map_err(|_| {
+        counters.panics.fetch_add(1, Ordering::Relaxed);
+        TaskError::Lost
+    })
+}
+
+/// Wrap a task into a queue command. The result travels back over `tx`;
+/// a lost task drops `tx` unsent, so the submitter's wait observes the
+/// disconnect as [`TaskError::Lost`].
 fn make_command<R, F>(
     counters: &Arc<DeviceCounters>,
     tx: std::sync::mpsc::Sender<R>,
@@ -393,33 +388,19 @@ where
 {
     let counters = Arc::clone(counters);
     Box::new(move || {
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(task));
-        counters
-            .busy_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        counters.tasks.fetch_add(1, Ordering::Relaxed);
-        match result {
+        if let Ok(result) = run_accounted(&counters, task) {
             // The submitter may have given up waiting; that is fine.
-            Ok(result) => {
-                let _ = tx.send(result);
-            }
-            Err(_) => {
-                counters.panics.fetch_add(1, Ordering::Relaxed);
-                // Dropping `tx` without sending disconnects the
-                // receiver: the submitter's wait observes `Lost`.
-            }
+            let _ = tx.send(result);
         }
     })
 }
 
 impl Drop for SimGpu {
     fn drop(&mut self) {
-        // Close both queues, then join the workers (they drain what is
+        // Close the queue, then join the workers (they drain what is
         // already queued first).
         self.queue.close();
-        self.dma_queue.close();
-        for w in self.workers.drain(..) {
+        for w in self.workers.take().into_iter().flatten() {
             let _ = w.join();
         }
     }
@@ -484,48 +465,6 @@ mod tests {
         let peak = peak.load(Ordering::SeqCst);
         assert!(peak >= 2, "expected concurrency, peak {peak}");
         assert!(peak <= 4, "bounded by worker count, peak {peak}");
-    }
-
-    #[test]
-    fn dma_queue_overlaps_a_serial_compute_queue() {
-        // Fermi: one compute worker. A copy submitted *after* a long
-        // kernel must still be able to finish *before* it, because it
-        // drains on the copy engines.
-        let gpu = SimGpu::new(fermi());
-        let kernel_done = Arc::new(AtomicU64::new(0));
-        let copy_saw_kernel_done = Arc::new(AtomicU64::new(0));
-        let kd = Arc::clone(&kernel_done);
-        let kernel = gpu.submit(move || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            kd.store(1, Ordering::SeqCst);
-        });
-        let kd = Arc::clone(&kernel_done);
-        let saw = Arc::clone(&copy_saw_kernel_done);
-        let copy = gpu.submit_dma(move || {
-            saw.store(kd.load(Ordering::SeqCst), Ordering::SeqCst);
-        });
-        copy.wait();
-        kernel.wait();
-        assert_eq!(
-            copy_saw_kernel_done.load(Ordering::SeqCst),
-            0,
-            "the DMA command ran while the kernel was still executing"
-        );
-    }
-
-    #[test]
-    fn dma_drop_drains_like_compute() {
-        let flag = Arc::new(AtomicU64::new(0));
-        {
-            let gpu = SimGpu::new(fermi());
-            for _ in 0..3 {
-                let flag = Arc::clone(&flag);
-                let _ = gpu.submit_dma(move || {
-                    flag.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        }
-        assert_eq!(flag.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -597,6 +536,25 @@ mod tests {
         assert_eq!(gpu.tasks_panicked(), 1);
         // The worker survived and serves later submissions.
         assert_eq!(gpu.execute_sync(|| 7), 7);
+    }
+
+    #[test]
+    fn run_inline_accounts_like_a_queued_command() {
+        let gpu = SimGpu::new(fermi());
+        let caller = std::thread::current().id();
+        let ran_on = gpu.run_inline(|| std::thread::current().id());
+        assert_eq!(ran_on, Ok(caller), "no thread hop");
+        assert_eq!((gpu.tasks_completed(), gpu.tasks_panicked()), (1, 0));
+        // A panicking body is contained on the caller, counted, and
+        // reported exactly as a queued command's would be.
+        let lost = gpu.run_inline(|| -> u32 { panic!("injected for test") });
+        assert_eq!(lost, Err(TaskError::Lost));
+        assert_eq!((gpu.tasks_completed(), gpu.tasks_panicked()), (2, 1));
+        assert!(gpu.workers.get().is_none(), "inline work starts no worker");
+        // The queued path still serves, sharing the same counters.
+        assert_eq!(gpu.execute_sync(|| 7), 7);
+        assert_eq!(gpu.tasks_completed(), 3);
+        assert_eq!(gpu.workers.get().map(Vec::len), Some(1));
     }
 
     #[test]

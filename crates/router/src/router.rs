@@ -168,7 +168,6 @@ impl RouterConfig {
                 gpu_precision: Precision::Double,
                 cpu_integrator: Integrator::Simpson { panels: 64 },
                 fused: true,
-                async_window: 1,
                 queue_depth: 2 * workers,
                 deterministic_kernel: true,
                 math: quadrature::MathMode::Exact,

@@ -15,12 +15,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
 use desim::Priority;
-use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
+use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob};
 use mpi_sim::Lane;
 use rrc_service::{CacheKey, ServiceMetrics, ShardedLruCache, StateKey};
 use rrc_spectral::{EnergyGrid, GridPoint};
@@ -168,28 +167,19 @@ impl ReplicaCtx {
         let mut answered: BTreeMap<usize, Arc<Vec<f64>>> = BTreeMap::new();
         let mut refanouts = 0u32;
         while !pending.is_empty() {
-            let (tx, rx) = channel();
-            for &ion in &pending {
-                let levels = db.levels_by_index(ion).len();
-                let job = IonJob {
-                    ion_index: ion,
-                    level_range: 0..levels,
-                    point: *point,
-                    grid: grid.clone(),
-                    bins: Arc::clone(bins),
-                    tag: ion as u64,
-                    deadline,
-                    reply: tx.clone(),
-                };
-                if self.engine.submit(job).is_err() {
-                    // Engine closing underneath us (shutdown race):
-                    // whatever is still pending becomes `failed`.
-                    break;
-                }
-            }
-            drop(tx);
-            let outcomes: Vec<IonOutcome> = rx.iter().collect();
-            for outcome in outcomes {
+            // An engine closing underneath us (shutdown race) answers
+            // short: whatever is still pending becomes `failed`.
+            let fanned = self.engine.fan_out(&pending, |&ion, reply| IonJob {
+                ion_index: ion,
+                level_range: 0..db.levels_by_index(ion).len(),
+                point: *point,
+                grid: grid.clone(),
+                bins: Arc::clone(bins),
+                tag: ion as u64,
+                deadline,
+                reply,
+            });
+            for outcome in fanned.outcomes {
                 let value = Arc::new(outcome.partial);
                 self.cache.insert(
                     CacheKey {

@@ -11,8 +11,10 @@
 //!
 //! Sharding (hash of the key picks an independently-locked shard)
 //! keeps concurrent callers from serializing on one mutex. Eviction is
-//! per-shard LRU by a monotone touch tick; capacity 0 disables the
-//! cache entirely (every get is a miss, inserts are dropped).
+//! per-shard LRU — each shard threads its entries on a recency list, so
+//! a touch and an eviction are both a few index writes, never a scan;
+//! capacity 0 disables the cache entirely (every get is a miss, inserts
+//! are dropped).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -28,14 +30,30 @@ pub struct CacheKey {
     pub state: StateKey,
 }
 
-struct Entry {
+/// End-of-list marker for the recency links.
+const NIL: usize = usize::MAX;
+
+/// One cached entry, linked into its shard's recency list by slot
+/// index.
+struct Slot {
+    key: CacheKey,
     value: Arc<Vec<f64>>,
-    touched: u64,
+    /// Neighbour toward the least recently touched end.
+    older: usize,
+    /// Neighbour toward the most recently touched end.
+    newer: usize,
 }
 
 struct Shard {
-    map: HashMap<CacheKey, Entry>,
-    clock: u64,
+    /// Key → index into `slots`.
+    map: HashMap<CacheKey, usize>,
+    /// Entry storage. Entries only ever leave by eviction, and the
+    /// evicting insert reuses the victim's slot, so there are no holes.
+    slots: Vec<Slot>,
+    /// Least recently touched entry — the next eviction victim.
+    oldest: usize,
+    /// Most recently touched entry.
+    newest: usize,
     /// Per-shard effectiveness counters, updated under this shard's
     /// own lock — so the cost of counting is the lock the operation
     /// already holds, and [`ShardedLruCache::shard_stats`] can show an
@@ -62,6 +80,80 @@ pub struct CacheStats {
     pub warm_insertions: u64,
     /// Values displaced by LRU pressure.
     pub evictions: u64,
+}
+
+impl Shard {
+    fn new() -> Shard {
+        Shard {
+            map: HashMap::new(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Unlink slot `i` from the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    /// Link slot `i` in as the most recently touched entry.
+    fn link_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Mark slot `i` as just touched.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.link_newest(i);
+        }
+    }
+
+    /// Store `value` under `key` as the most recently touched entry:
+    /// overwrite in place when present, otherwise take a fresh slot —
+    /// or, at `capacity`, the least recently touched entry's.
+    fn store(&mut self, key: CacheKey, value: Arc<Vec<f64>>, capacity: usize) {
+        if let Some(&i) = self.map.get(&key) {
+            self.slots[i].value = value;
+            self.touch(i);
+            return;
+        }
+        let i = if self.slots.len() >= capacity {
+            let victim = self.oldest;
+            self.unlink(victim);
+            self.map.remove(&self.slots[victim].key);
+            self.stats.evictions += 1;
+            self.slots[victim].key = key;
+            self.slots[victim].value = value;
+            victim
+        } else {
+            self.slots.push(Slot {
+                key,
+                value,
+                older: NIL,
+                newer: NIL,
+            });
+            self.slots.len() - 1
+        };
+        self.map.insert(key, i);
+        self.link_newest(i);
+    }
 }
 
 impl CacheStats {
@@ -119,15 +211,7 @@ impl ShardedLruCache {
         let shards = shards.clamp(1, capacity.max(1));
         let per_shard_capacity = capacity.div_ceil(shards);
         ShardedLruCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        clock: 0,
-                        stats: CacheStats::default(),
-                    })
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             per_shard_capacity,
         }
     }
@@ -179,14 +263,11 @@ impl ShardedLruCache {
             shard.stats.misses += 1;
             return None;
         }
-        shard.clock += 1;
-        let tick = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.touched = tick;
-                let value = Arc::clone(&entry.value);
+        match shard.map.get(key).copied() {
+            Some(i) => {
+                shard.touch(i);
                 shard.stats.hits += 1;
-                Some(value)
+                Some(Arc::clone(&shard.slots[i].value))
             }
             None => {
                 shard.stats.misses += 1;
@@ -206,7 +287,10 @@ impl ShardedLruCache {
             return None;
         }
         let shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.map.get(key).map(|entry| Arc::clone(&entry.value))
+        shard
+            .map
+            .get(key)
+            .map(|&i| Arc::clone(&shard.slots[i].value))
     }
 
     /// Store `value` under `key`, evicting the shard's least recently
@@ -216,16 +300,7 @@ impl ShardedLruCache {
             return;
         }
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        shard.clock += 1;
-        let tick = shard.clock;
-        Self::evict_if_full(&mut shard, &key, self.per_shard_capacity);
-        shard.map.insert(
-            key,
-            Entry {
-                value,
-                touched: tick,
-            },
-        );
+        shard.store(key, value, self.per_shard_capacity);
         shard.stats.insertions += 1;
     }
 
@@ -244,32 +319,9 @@ impl ShardedLruCache {
         if shard.map.contains_key(&key) {
             return false;
         }
-        shard.clock += 1;
-        let tick = shard.clock;
-        Self::evict_if_full(&mut shard, &key, self.per_shard_capacity);
-        shard.map.insert(
-            key,
-            Entry {
-                value,
-                touched: tick,
-            },
-        );
+        shard.store(key, value, self.per_shard_capacity);
         shard.stats.warm_insertions += 1;
         true
-    }
-
-    fn evict_if_full(shard: &mut Shard, key: &CacheKey, per_shard_capacity: usize) {
-        if !shard.map.contains_key(key) && shard.map.len() >= per_shard_capacity {
-            if let Some(&victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.touched)
-                .map(|(k, _)| k)
-            {
-                shard.map.remove(&victim);
-                shard.stats.evictions += 1;
-            }
-        }
     }
 
     /// Every cached entry whose `ion_index` is in `ions`, in a
@@ -283,9 +335,9 @@ impl ShardedLruCache {
         let mut out: Vec<(CacheKey, Arc<Vec<f64>>)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
-            for (key, entry) in &shard.map {
-                if wanted.contains(&key.ion_index) {
-                    out.push((*key, Arc::clone(&entry.value)));
+            for slot in &shard.slots {
+                if wanted.contains(&slot.key.ion_index) {
+                    out.push((slot.key, Arc::clone(&slot.value)));
                 }
             }
         }
@@ -375,6 +427,108 @@ mod tests {
         assert!(c.get(&key(2, 0)).is_some());
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.len(), 2);
+    }
+
+    /// The eviction rule the recency list must reproduce, as the scan
+    /// it replaced: every `get` hit, `insert` and stored `warm_insert`
+    /// stamps the entry with a fresh tick; a store of a new key at
+    /// capacity first removes the entry with the smallest tick.
+    struct ScanModel {
+        entries: Vec<(CacheKey, u64)>,
+        clock: u64,
+        capacity: usize,
+        evicted: Vec<CacheKey>,
+    }
+
+    impl ScanModel {
+        fn get(&mut self, key: CacheKey) -> bool {
+            self.clock += 1;
+            match self.entries.iter_mut().find(|(k, _)| *k == key) {
+                Some(entry) => {
+                    entry.1 = self.clock;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, key: CacheKey) {
+            self.clock += 1;
+            if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+                entry.1 = self.clock;
+                return;
+            }
+            if self.entries.len() >= self.capacity {
+                let victim = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .expect("capacity >= 1");
+                self.evicted.push(self.entries.swap_remove(victim).0);
+            }
+            self.entries.push((key, self.clock));
+        }
+
+        fn warm_insert(&mut self, key: CacheKey) -> bool {
+            if self.entries.iter().any(|(k, _)| *k == key) {
+                return false;
+            }
+            self.insert(key);
+            true
+        }
+    }
+
+    #[test]
+    fn eviction_order_matches_the_scan_reference_model() {
+        // One shard, so the whole trace contends for one recency list;
+        // a key universe ~3x capacity keeps it evicting throughout.
+        const CAPACITY: usize = 16;
+        let c = ShardedLruCache::new(CAPACITY, 1);
+        let mut model = ScanModel {
+            entries: Vec::new(),
+            clock: 0,
+            capacity: CAPACITY,
+            evicted: Vec::new(),
+        };
+        let mut rng = desim::rng(2015);
+        let universe: Vec<CacheKey> = (0..48).map(|i| key(i % 12, (i / 12) as u64)).collect();
+        let mut resident: Vec<CacheKey> = Vec::new();
+        for step in 0..20_000 {
+            let k = universe[rng.gen_range_usize(0..universe.len())];
+            match rng.gen_range_usize(0..10) {
+                0..=4 => assert_eq!(c.get(&k).is_some(), model.get(k), "step {step}: get"),
+                5..=7 => {
+                    c.insert(k, Arc::new(vec![step as f64]));
+                    model.insert(k);
+                }
+                8 => assert_eq!(
+                    c.warm_insert(k, Arc::new(vec![step as f64])),
+                    model.warm_insert(k),
+                    "step {step}: warm_insert"
+                ),
+                // Recency-neutral reads: must not perturb the order.
+                _ => {
+                    let _ = c.peek(&k);
+                    let _ = c.export_ions(&[k.ion_index]);
+                }
+            }
+            // Whatever left the cache this step is exactly what the
+            // scan would have evicted — so the orders agree victim by
+            // victim, not just in the end state.
+            let now: Vec<CacheKey> = universe
+                .iter()
+                .copied()
+                .filter(|k| c.peek(k).is_some())
+                .collect();
+            let left: Vec<CacheKey> = resident
+                .iter()
+                .copied()
+                .filter(|k| !now.contains(k))
+                .collect();
+            let want: Vec<CacheKey> = model.evicted.drain(..).collect();
+            assert_eq!(left, want, "step {step}: eviction victim");
+            resident = now;
+        }
+        assert_eq!(c.len(), CAPACITY);
+        assert!(c.stats().evictions > 1_000, "{:?}", c.stats());
     }
 
     #[test]

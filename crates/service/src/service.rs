@@ -24,7 +24,7 @@ use atomdb::AtomDatabase;
 use desim::{Priority, VirtualClock};
 use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::{Knob, SchedulerSnapshot, TunerDim};
-use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
+use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob};
 use mpi_sim::TryPushError;
 use rrc_spectral::{EnergyGrid, Integrator};
 
@@ -113,7 +113,6 @@ impl ServiceConfig {
                 gpu_precision: Precision::Double,
                 cpu_integrator: Integrator::Simpson { panels: 64 },
                 fused: true,
-                async_window: 1,
                 queue_depth: 2 * workers,
                 deterministic_kernel: true,
                 math: quadrature::MathMode::Exact,
@@ -682,27 +681,18 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
         // times before refusing the affected requests.
         let mut refanouts = 0u32;
         while !pending.is_empty() {
-            let (tx, rx) = channel();
-            for &ion in &pending {
-                let levels = db.levels_by_index(ion).len();
-                let job = IonJob {
-                    ion_index: ion,
-                    level_range: 0..levels,
-                    point,
-                    grid: grid.clone(),
-                    bins: Arc::clone(bins),
-                    tag: ion as u64,
-                    deadline: group_deadline,
-                    reply: tx.clone(),
-                };
-                assert!(
-                    shared.engine.submit(job).is_ok(),
-                    "engine outlives the batcher"
-                );
-            }
-            drop(tx);
-            let outcomes: Vec<IonOutcome> = rx.iter().collect();
-            for outcome in outcomes {
+            let fanned = shared.engine.fan_out(&pending, |&ion, reply| IonJob {
+                ion_index: ion,
+                level_range: 0..db.levels_by_index(ion).len(),
+                point,
+                grid: grid.clone(),
+                bins: Arc::clone(bins),
+                tag: ion as u64,
+                deadline: group_deadline,
+                reply,
+            });
+            assert!(!fanned.closed, "engine outlives the batcher");
+            for outcome in fanned.outcomes {
                 let value = Arc::new(outcome.partial);
                 shared.cache.insert(
                     CacheKey {
@@ -737,13 +727,16 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
                 ions_from_cache: from_cache as u64,
                 caller_ran: false,
             };
-            let _ = queued.reply.send(Ok(response));
+            // Count the response before releasing its waiter: a caller
+            // that reads the metrics right after `Ticket::wait` returns
+            // must find its own response in them.
             let now = Instant::now();
             shared.metrics.on_responded(
                 queued.request.priority,
                 now.duration_since(picked_at).as_secs_f64(),
                 now.duration_since(queued.submitted_at).as_secs_f64(),
             );
+            let _ = queued.reply.send(Ok(response));
         }
     }
 }

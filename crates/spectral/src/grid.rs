@@ -1,5 +1,7 @@
 //! Energy-bin grids and wavelength conversion.
 
+use std::sync::Arc;
+
 use crate::HC_EV_ANGSTROM;
 
 /// A contiguous grid of photon-energy bins.
@@ -17,8 +19,10 @@ pub struct EnergyGrid {
     /// The `bins + 1` edge values, materialized once at construction.
     /// Log-spaced grids used to recompute `min_ev.ln()` / `max_ev.ln()`
     /// (and an `exp`) on *every* edge call; now [`EnergyGrid::edge`] is
-    /// a table lookup with the same bit patterns.
-    edges: Vec<f64>,
+    /// a table lookup with the same bit patterns. Shared, so cloning a
+    /// grid (every engine job carries one) copies a pointer, not the
+    /// table.
+    edges: Arc<[f64]>,
     /// `ln(min_ev)` and `ln(max_ev) - ln(min_ev)`, cached for
     /// [`EnergyGrid::locate`] (zeros on linear grids, never read).
     ln_min: f64,
@@ -257,6 +261,15 @@ mod tests {
             assert_eq!(lin.edge(i).to_bits(), lin_want.to_bits(), "linear edge {i}");
             assert_eq!(log.edge(i).to_bits(), log_want.to_bits(), "log edge {i}");
         }
+    }
+
+    #[test]
+    fn clone_shares_the_edge_table() {
+        let g = EnergyGrid::logarithmic(0.75, 99.5, 29);
+        let c = g.clone();
+        assert!(Arc::ptr_eq(&g.edges, &c.edges), "clone must be O(1)");
+        assert_eq!(g, c);
+        assert_ne!(g, EnergyGrid::logarithmic(0.75, 99.5, 30));
     }
 
     #[test]

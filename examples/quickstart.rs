@@ -45,7 +45,6 @@ fn main() {
         gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::paper_cpu(),
-        async_window: 1,
         fused: true,
         math: hybridspec::quadrature::MathMode::Exact,
         pack_threshold: 0,

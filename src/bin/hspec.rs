@@ -263,7 +263,6 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
         gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::paper_cpu(),
-        async_window: 1,
         fused: true,
         math,
         pack_threshold,
@@ -456,7 +455,6 @@ fn cmd_recalc(args: &Args) -> Result<(), String> {
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::Simpson { panels: 64 },
         fused: true,
-        async_window: 1,
         queue_depth: 2 * workers,
         deterministic_kernel: true,
         math: hybridspec::quadrature::MathMode::Exact,

@@ -36,7 +36,6 @@ fn sedov_to_folded_counts() {
         gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::paper_cpu(),
-        async_window: 2,
         fused: true,
         math: hybridspec::quadrature::MathMode::Exact,
         pack_threshold: 0,
