@@ -40,14 +40,18 @@ pub struct DatabaseStats {
 /// lookups the spectral and NEI substrates need.
 ///
 /// Levels are materialized eagerly — the full default database is ~5000
-/// levels, trivially small — and stored ion-major so an ion task can
-/// borrow its level slice without indirection.
+/// levels, trivially small — and stored ion-major in one allocation, so
+/// generating a database costs three allocations rather than one per
+/// ion and an ion task borrows its level slice without indirection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomDatabase {
     config: DatabaseConfig,
     ions: Vec<Ion>,
-    /// `levels[i]` holds the levels of `ions[i]`.
-    levels: Vec<Vec<Level>>,
+    /// Every ion's levels, ion-major.
+    levels: Vec<Level>,
+    /// `levels[offsets[i]..offsets[i + 1]]` holds the levels of
+    /// `ions[i]`.
+    offsets: Vec<u32>,
 }
 
 impl AtomDatabase {
@@ -55,19 +59,28 @@ impl AtomDatabase {
     #[must_use]
     pub fn generate(config: DatabaseConfig) -> AtomDatabase {
         let max_z = config.max_z.clamp(1, MAX_Z);
-        let mut ions = Vec::new();
-        let mut levels = Vec::new();
+        let n_ions = usize::from(max_z) * (usize::from(max_z) + 1) / 2;
+        let mut ions = Vec::with_capacity(n_ions);
+        let mut offsets = Vec::with_capacity(n_ions + 1);
+        let mut total = 0u32;
+        offsets.push(total);
         for z in 1..=max_z {
             for charge in 1..=z {
                 let ion = Ion::new(z, charge).expect("valid by construction");
                 ions.push(ion);
-                levels.push(config.level_model.levels(ion));
+                total += u32::from(config.level_model.n_max(ion));
+                offsets.push(total);
             }
+        }
+        let mut levels = Vec::with_capacity(total as usize);
+        for &ion in &ions {
+            config.level_model.extend_levels(ion, &mut levels);
         }
         AtomDatabase {
             config,
             ions,
             levels,
+            offsets,
         }
     }
 
@@ -86,7 +99,7 @@ impl AtomDatabase {
     /// Levels of the `i`-th ion of [`AtomDatabase::ions`].
     #[must_use]
     pub fn levels_by_index(&self, i: usize) -> &[Level] {
-        &self.levels[i]
+        &self.levels[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Levels of `ion`, or `None` if the ion is outside this database's
@@ -98,7 +111,7 @@ impl AtomDatabase {
         }
         // ions are stored in dense_index order restricted to max_z.
         let idx = ion.dense_index();
-        self.levels.get(idx).map(Vec::as_slice)
+        (idx < self.ions.len()).then(|| self.levels_by_index(idx))
     }
 
     /// The element of the `i`-th ion.
@@ -110,16 +123,15 @@ impl AtomDatabase {
     /// Aggregate statistics.
     #[must_use]
     pub fn stats(&self) -> DatabaseStats {
-        let levels: u64 = self.levels.iter().map(|l| l.len() as u64).sum();
         let max = self
-            .levels
-            .iter()
-            .map(|l| l.len() as u16)
+            .offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u16)
             .max()
             .unwrap_or(0);
         DatabaseStats {
             ions: self.ions.len(),
-            levels,
+            levels: self.levels.len() as u64,
             max_levels_per_ion: max,
         }
     }
@@ -189,7 +201,8 @@ mod tests {
         let back = db.clone();
         assert_eq!(db.ions, back.ions);
         assert_eq!(db.config, back.config);
-        for (a, b) in db.levels.iter().zip(&back.levels) {
+        for i in 0..db.ions.len() {
+            let (a, b) = (db.levels_by_index(i), back.levels_by_index(i));
             assert_eq!(a.len(), b.len());
             for (la, lb) in a.iter().zip(b) {
                 assert_eq!(la.n, lb.n);

@@ -60,18 +60,24 @@ impl LevelModel {
     /// (decreasing binding energy).
     #[must_use]
     pub fn levels(&self, ion: Ion) -> Vec<Level> {
-        let n_max = self.n_max(ion);
+        let mut levels = Vec::with_capacity(usize::from(self.n_max(ion)));
+        self.extend_levels(ion, &mut levels);
+        levels
+    }
+
+    /// Append the levels of `ion` to `out`, in the order of
+    /// [`LevelModel::levels`] — for callers that keep many ions' levels
+    /// in one allocation.
+    pub fn extend_levels(&self, ion: Ion, out: &mut Vec<Level>) {
         let q = ion.effective_charge();
-        (1..=n_max)
-            .map(|n| {
-                let nf = f64::from(n);
-                Level {
-                    n,
-                    binding_energy_ev: RYDBERG_EV * q * q / (nf * nf),
-                    weight: 2.0 * nf * nf,
-                }
-            })
-            .collect()
+        out.extend((1..=self.n_max(ion)).map(|n| {
+            let nf = f64::from(n);
+            Level {
+                n,
+                binding_energy_ev: RYDBERG_EV * q * q / (nf * nf),
+                weight: 2.0 * nf * nf,
+            }
+        }));
     }
 
     /// Total number of levels over all 496 ions — the work census used by

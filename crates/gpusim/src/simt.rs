@@ -9,11 +9,14 @@
 //! per task, not per integral — the whole point of the paper's
 //! coarse-grained task).
 //!
-//! Execution is a parallel map over per-thread output chunks across
-//! scoped host threads: disjoint `&mut` chunks (carved with
-//! `split_at_mut`) give data-race freedom by construction, and the
-//! chunk table is computed arithmetically per worker instead of being
-//! heap-allocated per launch.
+//! A launch owns no host thread: the simulated threads run one after
+//! another, in ascending `global_id` order, on the thread that calls
+//! [`launch`] — which *is* the device (an engine pump lane, a queue
+//! worker, a test). Host parallelism lives across devices and ranks;
+//! inside a kernel that lasts tens of microseconds a host fan-out costs
+//! more than it saves. Each simulated thread gets its disjoint `&mut`
+//! chunk carved with `split_at_mut`, and the chunk table is computed
+//! arithmetically instead of being heap-allocated per launch.
 
 use quadrature::{romberg, simpson, BatchSampler, BinPlan, BinRule, GaussLegendre, MathMode};
 
@@ -74,79 +77,28 @@ impl ThreadCtx {
 
 /// Launch `body` over `out`: the output is split into one contiguous
 /// chunk per thread (threads at the front get the remainder, as in the
-/// usual CUDA chunking idiom) and every thread runs `body(ctx, chunk)`
-/// in parallel.
+/// usual CUDA chunking idiom) and every thread runs `body(ctx, chunk)`,
+/// in ascending `global_id` order on the calling thread.
 ///
 /// Threads whose chunk would be empty (idle lanes when
-/// `total_threads > out.len()`) are skipped entirely — no work is
-/// spawned for them. Simulated threads are partitioned across at most
-/// `available_parallelism` scoped host threads, each walking its range
-/// of chunks with `split_at_mut`; nothing is heap-allocated per launch.
+/// `total_threads > out.len()`) are skipped entirely. Nothing is
+/// spawned, queried from the OS or heap-allocated per launch.
 pub fn launch<T, F>(cfg: LaunchConfig, out: &mut [T], body: F)
 where
     T: Send,
     F: Fn(ThreadCtx, &mut [T]) + Sync,
 {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
     let total = cfg.total_threads();
-    let base = n / total;
-    let extra = n % total;
-    // Number of simulated threads with a non-empty chunk: when base is
-    // 0 only the first `extra` lanes hold an element each.
+    let base = out.len() / total;
+    let extra = out.len() % total;
+    // Simulated threads with a non-empty chunk: when base is 0 only the
+    // first `extra` lanes hold an element each.
     let effective = if base == 0 { extra } else { total };
-    let body = &body;
-
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(effective);
-    if workers <= 1 {
-        run_thread_range(cfg, 0, effective, out, base, extra, body);
-        return;
-    }
-
-    // First element index of simulated thread `t` under the chunking
-    // law (thread t owns base + (t < extra) elements).
-    let offset = |t: usize| t * base + t.min(extra);
-    let range_base = effective / workers;
-    let range_extra = effective % workers;
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut t0 = 0usize;
-        for w in 0..workers {
-            let t1 = t0 + range_base + usize::from(w < range_extra);
-            let (slice, tail) = rest.split_at_mut(offset(t1) - offset(t0));
-            rest = tail;
-            if w + 1 == workers {
-                // Run the last range on the launching thread.
-                run_thread_range(cfg, t0, t1, slice, base, extra, body);
-            } else {
-                scope.spawn(move || run_thread_range(cfg, t0, t1, slice, base, extra, body));
-            }
-            t0 = t1;
-        }
-    });
-}
-
-/// Execute simulated threads `t0..t1` sequentially over `slice`, which
-/// holds exactly their concatenated chunks.
-fn run_thread_range<T, F>(
-    cfg: LaunchConfig,
-    t0: usize,
-    t1: usize,
-    mut slice: &mut [T],
-    base: usize,
-    extra: usize,
-    body: &F,
-) where
-    F: Fn(ThreadCtx, &mut [T]),
-{
-    for t in t0..t1 {
-        let size = base + usize::from(t < extra);
-        let (chunk, tail) = slice.split_at_mut(size);
-        slice = tail;
+    let mut rest = out;
+    for t in 0..effective {
+        // Thread t owns base + (t < extra) elements.
+        let (chunk, tail) = rest.split_at_mut(base + usize::from(t < extra));
+        rest = tail;
         let ctx = ThreadCtx {
             block_idx: (t / cfg.block_dim as usize) as u32,
             thread_idx: (t % cfg.block_dim as usize) as u32,
@@ -421,6 +373,28 @@ where
 /// [`DeviceRule::GaussLegendre`] has no shareable edge nodes; it runs
 /// per-bin exactly as the legacy kernel does (still benefiting from the
 /// prepared integrands and pooled buffers upstream).
+///
+/// # One-bin threads run as a warp
+///
+/// A launch with at least one simulated thread per bin
+/// (`bins.len() <= cfg.total_threads()`: [`LaunchConfig::cover`], the
+/// paper's geometry) gives every effective thread one bin, so no shared
+/// edge exists and every bin is the head of its own run. For the f64
+/// fused rules such a launch is executed warp-wise: per level, the
+/// threshold-clamped bin alone and the other supported bins as isolated
+/// lanes of one [`BinPlan::isolated`] over the whole bin array,
+/// [`quadrature::BIN_LANES`] bins per step where the sampler has a
+/// lockstep form. Each bin sees exactly the operations its own thread
+/// would have run, levels in the same order, so outputs and the
+/// returned evaluation count are bit for bit those of the
+/// thread-by-thread walk, which remains for multi-bin chunks,
+/// [`Precision::Single`] and Gauss–Legendre.
+///
+/// # Precondition
+///
+/// Window handling finds the supported bins of a chunk by binary
+/// search, so `bins` must ascend without overlap
+/// (`bins[i].1 <= bins[i + 1].0`) whenever `windows` is set.
 pub struct FusedBinKernel<'a, S> {
     /// One integrand per level of the ion (a single-element slice for
     /// Level granularity). Each thread works on a private copy, so the
@@ -467,40 +441,43 @@ where
         let math = self.math;
         let n = bins.len();
         let threads = cfg.total_threads();
+        let fused_f64 = match precision {
+            Precision::Double => rule.bin_rule(),
+            Precision::Single => None,
+        };
+        // One chunk's work: every level, in order, accumulated over the
+        // chunk's bins. `plan` is the chunk's when the rule has an f64
+        // fused form.
+        let run_chunk = |plan: Option<&BinPlan<'_>>, my_bins: &[(f64, f64)], chunk: &mut [f64]| {
+            // Pooled buffers may hold a previous task's values.
+            chunk.fill(0.0);
+            let mut evals = 0u64;
+            for (level, f) in integrands.iter().enumerate() {
+                // Private copy: sampling needs `&mut`, the slice is shared.
+                let mut f = *f;
+                let window = windows.map(|w| w[level]);
+                evals += integrate_chunk(rule, precision, plan, &mut f, my_bins, window, chunk);
+            }
+            evals
+        };
+        if let Some(bin_rule) = fused_f64.filter(|_| n <= threads) {
+            // One bin per simulated thread: the whole launch is one
+            // chunk of run heads (see the type docs).
+            let plan = BinPlan::isolated(bin_rule, bins, math);
+            return run_chunk(Some(&plan), bins, emi);
+        }
         let base = n / threads;
         let extra = n % threads;
         let evals = std::sync::atomic::AtomicU64::new(0);
 
         launch(cfg, emi, |ctx, chunk| {
             let t = ctx.global_id();
-            // Pooled buffers may hold a previous task's values.
-            for slot in chunk.iter_mut() {
-                *slot = 0.0;
-            }
-            let mut local_evals = 0u64;
             // Recover this thread's bin offset from the chunking law.
             let start = t * base + t.min(extra);
             let my_bins = &bins[start..start + chunk.len()];
             // The f64 fused rules share one plan across the levels.
-            let plan = match precision {
-                Precision::Double => rule.bin_rule(),
-                Precision::Single => None,
-            }
-            .map(|rule| BinPlan::new(rule, my_bins, math));
-            for (level, f) in integrands.iter().enumerate() {
-                // Private copy: sampling needs `&mut`, the slice is shared.
-                let mut f = *f;
-                let window = windows.map(|w| w[level]);
-                local_evals += integrate_chunk(
-                    rule,
-                    precision,
-                    plan.as_ref(),
-                    &mut f,
-                    my_bins,
-                    window,
-                    chunk,
-                );
-            }
+            let plan = fused_f64.map(|rule| BinPlan::new(rule, my_bins, math));
+            let local_evals = run_chunk(plan.as_ref(), my_bins, chunk);
             evals.fetch_add(local_evals, std::sync::atomic::Ordering::Relaxed);
         });
         evals.into_inner()
@@ -770,6 +747,26 @@ mod tests {
         });
         // With 12 elements and 12 threads, element i belongs to thread i.
         assert_eq!(out, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn launch_runs_threads_in_order_on_the_calling_thread() {
+        // Uneven chunks (10 elements over 4 threads) and idle lanes (3
+        // elements over 8 threads): no host thread but the caller's ever
+        // runs a simulated thread, and ids ascend.
+        let caller = std::thread::current().id();
+        for (cfg, n) in [(LaunchConfig::new(2, 2), 10), (LaunchConfig::new(2, 4), 3)] {
+            let seen = std::sync::Mutex::new(Vec::new());
+            launch(cfg, &mut vec![0u8; n], |ctx, _chunk| {
+                assert_eq!(std::thread::current().id(), caller);
+                seen.lock().unwrap().push(ctx.global_id());
+            });
+            let effective = n.min(cfg.total_threads());
+            assert_eq!(
+                seen.into_inner().unwrap(),
+                (0..effective).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

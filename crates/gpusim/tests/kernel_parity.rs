@@ -304,3 +304,126 @@ fn lane_lockstep_kernel_equals_per_thread_scalar_execution() {
         }
     }
 }
+
+/// What a launch of one-bin simulated threads computes, written without
+/// the kernel: per bin, the levels in order; per level the window rule
+/// of a one-bin chunk (skip a bin outside the window, raise the lower
+/// limit to the threshold), then the scalar loop over that single bin.
+fn one_bin_reference(
+    levels: &[rrc_spectral::PreparedIntegrand],
+    bins: &[(f64, f64)],
+    windows: Option<&[(f64, f64)]>,
+    rule: quadrature::BinRule,
+    math: quadrature::MathMode,
+) -> (Vec<f64>, u64) {
+    let mut out = vec![0.0; bins.len()];
+    let mut evals = 0;
+    for (slot, &(lo, hi)) in out.iter_mut().zip(bins) {
+        for (level, f) in levels.iter().enumerate() {
+            let lo = match windows.map(|w| w[level]) {
+                Some((threshold, cutoff)) if hi <= threshold || lo >= cutoff => continue,
+                Some((threshold, _)) => lo.max(threshold),
+                None => lo,
+            };
+            evals += quadrature::integrate_bins_sampled_mode(
+                rule,
+                &mut quadrature::ScalarLanes(*f),
+                &[(lo, hi)],
+                std::slice::from_mut(slot),
+                math,
+            );
+        }
+    }
+    (out, evals)
+}
+
+#[test]
+fn one_bin_threads_equal_an_independent_per_bin_reference() {
+    // The lane-vs-`ScalarLanes` comparison above sends both sides
+    // through the same `execute`, so it cannot see a slip in how the
+    // warp-wise launch resolves a level's window. Levels here put
+    // their threshold inside bin 0, inside a middle bin, below every
+    // bin, above every bin, and one window ends before the first bin.
+    let kt = 862.0;
+    let levels: Vec<_> = [120.0, 700.0, 50.0, 5000.0, 10.0]
+        .into_iter()
+        .map(|threshold| rrc_spectral::RrcIntegrand::new(kt, threshold, 2, 1.0, 1e-4).prepare())
+        .collect();
+    let mut windows: Vec<(f64, f64)> = levels
+        .iter()
+        .map(|p| (p.threshold_ev, p.threshold_ev + 40.0 * kt))
+        .collect();
+    windows[4].1 = 60.0;
+    let n_bins = 21;
+    let linear: Vec<(f64, f64)> = {
+        let edge = |i: usize| 100.0 + 1200.0 * (i as f64 / n_bins as f64);
+        (0..n_bins).map(|i| (edge(i), edge(i + 1))).collect()
+    };
+    let log: Vec<(f64, f64)> = {
+        let edge = |i: usize| 100.0 * 13f64.powf(i as f64 / n_bins as f64);
+        (0..n_bins).map(|i| (edge(i), edge(i + 1))).collect()
+    };
+    use quadrature::{BinRule, MathMode};
+    for bins in [&linear, &log] {
+        for (rule, bin_rule, math) in [
+            (
+                DeviceRule::Simpson { panels: 64 },
+                BinRule::Simpson { panels: 64 },
+                MathMode::Exact,
+            ),
+            (
+                DeviceRule::Simpson { panels: 3 },
+                BinRule::Simpson { panels: 3 },
+                MathMode::Exact,
+            ),
+            (
+                DeviceRule::Simpson { panels: 64 },
+                BinRule::Simpson { panels: 64 },
+                MathMode::Vector,
+            ),
+            (
+                DeviceRule::Romberg { k: 4 },
+                BinRule::Romberg { k: 4 },
+                MathMode::Exact,
+            ),
+        ] {
+            for windows in [Some(windows.as_slice()), None] {
+                let kernel = FusedBinKernel {
+                    integrands: &levels,
+                    bins,
+                    precision: Precision::Double,
+                    windows,
+                    rule,
+                    math,
+                };
+                let (want, want_evals) = one_bin_reference(&levels, bins, windows, bin_rule, math);
+                // threads == bins, and threads > bins.
+                for cfg in [
+                    LaunchConfig::new(1, n_bins as u32),
+                    LaunchConfig::cover(n_bins),
+                ] {
+                    let mut emi = vec![f64::NAN; n_bins];
+                    let evals = kernel.execute(cfg, &mut emi);
+                    assert_eq!(evals, want_evals, "{rule:?} {math:?} {cfg:?}");
+                    for (b, (got, want)) in emi.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{rule:?} {math:?} {cfg:?}: bin {b}"
+                        );
+                    }
+                }
+                // One thread short: thread 0 owns bins 0 and 1, so this
+                // launch must walk thread by thread — seen in the one
+                // sample saved per level that has both bins in a run
+                // (windowed: only the level whose threshold is below
+                // every bin; the clamped bin 0 of another runs alone).
+                let shared = if windows.is_some() { 1 } else { levels.len() };
+                let mut emi = vec![f64::NAN; n_bins];
+                let evals = kernel.execute(LaunchConfig::new(1, n_bins as u32 - 1), &mut emi);
+                assert_eq!(evals, want_evals - shared as u64, "{rule:?} {math:?}");
+                assert_eq!(emi[2..], want[2..], "{rule:?} {math:?}");
+            }
+        }
+    }
+}

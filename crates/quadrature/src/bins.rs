@@ -32,6 +32,12 @@
 //! the same bin array. Bins with no cached predecessor edge (the head
 //! of every run), groups the sampler declines, `Vector` mode, Romberg
 //! and samplers without a lockstep form take the scalar loop.
+//!
+//! A launch that gives every simulated thread a single bin forms no run
+//! at all: each bin is a run head and pays its own lower-edge sample.
+//! [`BinPlan::isolated`] integrates such bins as *isolated lanes* —
+//! [`BIN_LANES`] heads per step, each lane sampling its full `2n + 1`
+//! node grid — again with the scalar loop's exact per-bin sequence.
 
 use std::cell::{Cell, OnceCell};
 use std::ops::Range;
@@ -159,11 +165,16 @@ pub fn integrate_bins_sampled_mode<S: BatchSampler>(
 /// edge-linked bins per step. Results and evaluation counts are
 /// bitwise those of [`integrate_bins_sampled_mode`] on the same range,
 /// which is itself a one-shot plan.
+///
+/// An [isolated](BinPlan::isolated) plan shares no edges: every bin of
+/// a range is integrated as if it were the range's only bin.
 #[derive(Debug)]
 pub struct BinPlan<'a> {
     rule: BinRule,
     bins: &'a [(f64, f64)],
     math: MathMode,
+    /// Whether every bin is a run head.
+    isolated: bool,
     /// One measured grid per [`BIN_LANES`]-aligned block of `bins`,
     /// built when the first lockstep sampler arrives.
     lanes: OnceCell<Vec<LaneGrid>>,
@@ -177,7 +188,22 @@ impl<'a> BinPlan<'a> {
             rule,
             bins,
             math,
+            isolated: false,
             lanes: OnceCell::new(),
+        }
+    }
+
+    /// [`BinPlan::new`] for bins that share no samples: every bin pays
+    /// its own lower-edge evaluation, and per-bin results and
+    /// evaluation counts are bitwise those of [`BinPlan::new`]'s
+    /// `integrate(i..i + 1)` on each bin `i` in turn — what a launch of
+    /// one-bin simulated threads computes. With a lockstep sampler,
+    /// [`BIN_LANES`] such bins advance per step.
+    #[must_use]
+    pub fn isolated(rule: BinRule, bins: &'a [(f64, f64)], math: MathMode) -> BinPlan<'a> {
+        BinPlan {
+            isolated: true,
+            ..BinPlan::new(rule, bins, math)
         }
     }
 
@@ -204,22 +230,23 @@ impl<'a> BinPlan<'a> {
         match self.rule {
             BinRule::Simpson { panels } => {
                 let n = panels.max(1);
-                // Lanes need an edge-linked bin, so at least two bins.
+                // Lanes need an edge-linked bin or a second run head,
+                // so at least two bins.
                 let lanes =
                     (self.math == MathMode::Exact && bins.len() > 1 && s.lockstep()).then(|| {
                         LaneTable {
                             blocks: self.lanes.get_or_init(|| {
                                 self.bins
                                     .chunks(BIN_LANES)
-                                    .map(|block| LaneGrid::measure(block, n))
+                                    .map(|block| LaneGrid::measure(block, n, self.isolated))
                                     .collect()
                             }),
                             offset: range.start,
                         }
                     });
-                simpson_bins(s, bins, out, n, self.math, lanes)
+                simpson_bins(s, bins, out, n, self.math, lanes, self.isolated)
             }
-            BinRule::Romberg { k } => romberg_bins(s, bins, out, k, self.math),
+            BinRule::Romberg { k } => romberg_bins(s, bins, out, k, self.math, self.isolated),
         }
     }
 
@@ -372,12 +399,12 @@ fn linked_run(bins: &[(f64, f64)], edge_x: f64) -> usize {
     run
 }
 
-/// Integrate the first `out.len()` lanes of `grid` — edge-linked bins
-/// whose predecessor's upper-edge sample is `edge_v` — in lockstep,
+/// Integrate the first `out.len()` lanes of `grid` in lockstep,
 /// accumulating into `out`. Every lane performs exactly the operation
 /// sequence the scalar loop of [`simpson_bins`] performs for its bin:
-/// lane `k`'s lower-edge sample is handed over from lane `k − 1`'s
-/// upper edge, and the Simpson sum runs in the same order.
+/// an isolated lane samples its own lower edge (row 0), an edge-linked
+/// lane `k` is handed lane `k − 1`'s upper-edge sample (lane 0 the
+/// predecessor's, `edge_v`), and the Simpson sum runs in the same order.
 ///
 /// Returns the last live bin's upper-edge sample, or `None` (nothing
 /// written) when the sampler declines the group.
@@ -394,14 +421,17 @@ fn simpson_lane_group<S: BatchSampler>(
         return None;
     }
     let last = vals[nodes - 1];
-    let mut sum = [0.0; BIN_LANES];
-    sum[0] = edge_v + last[0];
-    for k in 1..BIN_LANES {
-        sum[k] = last[k - 1] + last[k];
-    }
-    // vals[j] is bin node j + 1: midpoints on even rows, panel ends on
-    // odd rows, the upper edge (already summed) last.
-    for pair in vals[..nodes - 1].chunks(2) {
+    let (first, interior) = if grid.is_isolated() {
+        (vals[0], &vals[1..nodes - 1])
+    } else {
+        let mut first = [edge_v; BIN_LANES];
+        first[1..].copy_from_slice(&last[..BIN_LANES - 1]);
+        (first, &vals[..nodes - 1])
+    };
+    let mut sum: LaneRow = std::array::from_fn(|k| first[k] + last[k]);
+    // The interior nodes between the two (already summed) edges:
+    // midpoints on even rows, panel ends on odd rows.
+    for pair in interior.chunks(2) {
         for k in 0..BIN_LANES {
             sum[k] += 4.0 * pair[0][k];
         }
@@ -425,9 +455,11 @@ fn simpson_bins<S: BatchSampler>(
     n: usize,
     math: MathMode,
     lanes: Option<LaneTable<'_>>,
+    isolated: bool,
 ) -> u64 {
     let mut evals: u64 = 0;
-    // The cached sample at the previous bin's upper edge.
+    // The cached sample at the previous bin's upper edge; isolated bins
+    // never cache one.
     let mut edge: Option<(f64, f64)> = None;
     let mut scratch = SIMPSON_SCRATCH.take();
     scratch.vals.resize(2 * n + 1, 0.0);
@@ -436,18 +468,22 @@ fn simpson_bins<S: BatchSampler>(
     let mut declined_until = 0;
     let mut i = 0;
     while i < bins.len() {
-        if let (Some(table), Some((x, v))) = (lanes, edge) {
-            let live = if i < declined_until {
-                0
+        if let Some(table) = lanes.filter(|_| i >= declined_until) {
+            // Run heads group as they come; an edge-linked group
+            // continues the run the cached edge ends.
+            let (live, edge_v) = if isolated {
+                ((bins.len() - i).min(BIN_LANES), 0.0)
             } else {
-                linked_run(&bins[i..], x)
+                edge.map_or((0, 0.0), |(x, v)| (linked_run(&bins[i..], x), v))
             };
             if live > 0 {
                 let grid = table.group(i, live);
                 let slots = &mut out[i..i + live];
-                if let Some(last) = simpson_lane_group(s, &grid, v, slots, &mut scratch.lane_vals) {
-                    evals += (live * 2 * n) as u64;
-                    edge = Some((bins[i + live - 1].1, last));
+                if let Some(last) =
+                    simpson_lane_group(s, &grid, edge_v, slots, &mut scratch.lane_vals)
+                {
+                    evals += (live * grid.len()) as u64;
+                    edge = (!isolated).then_some((bins[i + live - 1].1, last));
                     i += live;
                     continue;
                 }
@@ -486,7 +522,7 @@ fn simpson_bins<S: BatchSampler>(
             MathMode::Vector => vals[0] + vals[2 * n] + simpson_interior_lanes(&vals[1..2 * n]),
         };
         out[i] += sum * h / 6.0;
-        edge = Some((hi, vals[2 * n]));
+        edge = (!isolated).then_some((hi, vals[2 * n]));
         i += 1;
     }
     SIMPSON_SCRATCH.set(scratch);
@@ -499,6 +535,7 @@ fn romberg_bins<S: BatchSampler>(
     out: &mut [f64],
     k: u32,
     math: MathMode,
+    isolated: bool,
 ) -> u64 {
     let k = k.clamp(1, 30) as usize;
     let mut evals: u64 = 0;
@@ -559,7 +596,7 @@ fn romberg_bins<S: BatchSampler>(
             std::mem::swap(&mut prev, &mut row);
         }
         *slot += diag_prev;
-        edge = Some((hi, f_hi));
+        edge = (!isolated).then_some((hi, f_hi));
     }
     evals
 }
@@ -752,30 +789,34 @@ mod tests {
             (-4.0, -1.0),
         ]);
         let mut xs = Vec::new();
-        for panels in [1usize, 2, 3, 64, 130] {
+        for (panels, isolated) in [1usize, 2, 3, 64, 130]
+            .into_iter()
+            .flat_map(|p| [(p, false), (p, true)])
+        {
             for group in bins.chunks(BIN_LANES).chain(bins[3..].chunks(5)) {
-                let lanes = LaneGrid::measure(group, panels);
-                assert_eq!(lanes.len(), 2 * panels);
+                let lanes = LaneGrid::measure(group, panels, isolated);
+                assert_eq!(lanes.len(), 2 * panels + usize::from(isolated));
                 for k in 0..BIN_LANES {
                     // Short groups repeat their last bin.
                     let (lo, hi) = group[k.min(group.len() - 1)];
                     simpson_nodes(&mut xs, lo, hi, panels);
-                    let linked = &xs[1..];
-                    for (j, x) in linked.iter().enumerate() {
+                    // An isolated lane keeps the bin's lower edge.
+                    let nodes = &xs[usize::from(!isolated)..];
+                    for (j, x) in nodes.iter().enumerate() {
                         assert_eq!(lanes.row(j)[k].to_bits(), x.to_bits(), "node {j}");
                     }
                     assert_eq!(
                         lanes.panel_width()[k].to_bits(),
                         ((hi - lo) / panels as f64).to_bits()
                     );
-                    let min = linked.iter().copied().fold(f64::INFINITY, f64::min);
+                    let min = nodes.iter().copied().fold(f64::INFINITY, f64::min);
                     assert_eq!(
                         lanes.min()[k].to_bits(),
                         min.to_bits(),
                         "min of ({lo}, {hi})"
                     );
-                    let lane = LaneGrid::measure(&[(lo, hi)], panels);
-                    match uniform_step(linked) {
+                    let lane = LaneGrid::measure(&[(lo, hi)], panels, isolated);
+                    match uniform_step(nodes) {
                         Some(step) => {
                             assert!(lane.all_uniform(), "({lo}, {hi}) x {panels}");
                             assert_eq!(lanes.step()[k].to_bits(), step.to_bits());

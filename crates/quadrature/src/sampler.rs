@@ -39,9 +39,11 @@ pub fn uniform_step(xs: &[f64]) -> Option<f64> {
 }
 
 /// [`BIN_LANES`] composite-Simpson node grids side by side, one bin per
-/// lane: the grid of lane `k` is bin nodes `1..=2n` (the lower-edge
-/// node is handed over from the previous bin), exactly the slice
-/// [`BatchSampler::sample_batch`] receives for an edge-linked bin.
+/// lane, in one of two forms. *Edge-linked*: the grid of lane `k` is bin
+/// nodes `1..=2n` (the lower-edge node is handed over from the previous
+/// bin). *Isolated*: all `2n + 1` nodes, row 0 being the bin's own
+/// lower edge. Either way a lane's grid is exactly the slice
+/// [`BatchSampler::sample_batch`] receives for such a bin.
 ///
 /// Nodes are not stored: [`LaneGrid::row`] recomputes them with the
 /// node expressions of `rules::simpson`, and the facts a structured
@@ -51,6 +53,7 @@ pub fn uniform_step(xs: &[f64]) -> Option<f64> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneGrid {
     panels: usize,
+    isolated: bool,
     lo: LaneRow,
     hi: LaneRow,
     h: LaneRow,
@@ -62,8 +65,8 @@ pub struct LaneGrid {
 impl LaneGrid {
     /// Measure the grids of `bins` (at most [`BIN_LANES`]; a short
     /// group is padded with copies of its last bin) for `panels`
-    /// Simpson panels per bin.
-    pub(crate) fn measure(bins: &[(f64, f64)], panels: usize) -> LaneGrid {
+    /// Simpson panels per bin, in the isolated or the edge-linked form.
+    pub(crate) fn measure(bins: &[(f64, f64)], panels: usize, isolated: bool) -> LaneGrid {
         let mut lo = [0.0; BIN_LANES];
         let mut hi = [0.0; BIN_LANES];
         let mut h = [0.0; BIN_LANES];
@@ -73,6 +76,7 @@ impl LaneGrid {
         }
         let mut grid = LaneGrid {
             panels,
+            isolated,
             lo,
             hi,
             h,
@@ -115,11 +119,16 @@ impl LaneGrid {
         self.uniform[dst] = from.uniform[src];
     }
 
-    /// Nodes per lane (`2n`).
+    /// Whether row 0 is each bin's own lower edge.
+    pub(crate) fn is_isolated(&self) -> bool {
+        self.isolated
+    }
+
+    /// Nodes per lane: `2n` edge-linked, `2n + 1` isolated.
     #[must_use]
     #[allow(clippy::len_without_is_empty)] // a grid always has nodes
     pub fn len(&self) -> usize {
-        2 * self.panels
+        2 * self.panels + usize::from(self.isolated)
     }
 
     /// Node `j` of every lane — `xs[j]` of the slice `sample_batch`
@@ -134,6 +143,10 @@ impl LaneGrid {
         if j + 1 == self.len() {
             return self.hi;
         }
+        // Row j is bin node j + 1, or bin node j when isolated.
+        let Some(j) = j.checked_sub(usize::from(self.isolated)) else {
+            return self.lo;
+        };
         // Bin node j + 1: odd ones are panel midpoints `a + h/2`, even
         // ones panel ends `a + h`, with `a = lo + i h` the panel start.
         let i = (j / 2) as f64;

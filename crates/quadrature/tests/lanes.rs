@@ -1,6 +1,7 @@
 //! Lane-lockstep Simpson ≡ the scalar loop, bit for bit, at the
 //! quadrature layer: run detection, edge hand-over between lanes,
-//! padding of short groups, declined groups, evaluation counts.
+//! padding of short groups, declined groups, evaluation counts — for
+//! edge-linked runs and for the isolated lanes of one-bin threads.
 //!
 //! The reference is always the same integrand wrapped in
 //! [`ScalarLanes`], which keeps the declining defaults and therefore
@@ -93,6 +94,36 @@ fn assert_lanes_equal_scalar(
     s.groups
 }
 
+/// Integrate `bins[range]` through an isolated plan and, as the
+/// reference, every bin of the range alone through the scalar loop;
+/// outputs and evaluation counts must be identical. Returns how many
+/// groups ran in lockstep.
+fn assert_isolated_equals_per_bin(
+    mut s: Nodewise,
+    bins: &[(f64, f64)],
+    panels: usize,
+    range: std::ops::Range<usize>,
+    what: &str,
+) -> usize {
+    let rule = BinRule::Simpson { panels };
+    let mut lanes = vec![0.25; range.len()];
+    let mut alone = lanes.clone();
+    let plan = BinPlan::isolated(rule, bins, MathMode::Exact);
+    let e_lanes = plan.integrate(&mut s, range.clone(), &mut lanes);
+    let mut e_alone = 0;
+    for (i, slot) in range.zip(alone.chunks_mut(1)) {
+        let bin = &bins[i..=i];
+        e_alone +=
+            integrate_bins_sampled_mode(rule, &mut ScalarLanes(s), bin, slot, MathMode::Exact);
+    }
+    assert_eq!(e_lanes, e_alone, "{what}: evals");
+    assert_eq!(e_lanes, (lanes.len() * (2 * panels + 1)) as u64, "{what}");
+    for (i, (a, b)) in lanes.iter().zip(&alone).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: bin {i}");
+    }
+    s.groups
+}
+
 const PANELS: [usize; 5] = [1, 2, 3, 64, 130];
 
 #[test]
@@ -110,6 +141,42 @@ fn every_run_length_and_panel_count_matches_scalar() {
             let log = logarithmic(0.3, 9.7, n_bins);
             assert_eq!(assert_lanes_equal_scalar(s, &log, panels, &what), groups);
         }
+    }
+}
+
+#[test]
+fn isolated_groups_equal_the_per_bin_scalar_loop() {
+    // Range lengths around one and two groups, starting at every
+    // alignment relative to the plan's measured blocks. 130 panels put
+    // 261 nodes in a lane: the 256-node re-anchoring of a recurrence.
+    let s = nodewise(0.31, f64::NEG_INFINITY);
+    for bins in [linear(0.3, 9.7, 30), logarithmic(0.3, 9.7, 30)] {
+        for panels in PANELS {
+            for start in 0..=12 {
+                for len in 1usize..=17 {
+                    let what = format!("{start}..+{len}, {panels} panels");
+                    let groups =
+                        assert_isolated_equals_per_bin(s, &bins, panels, start..start + len, &what);
+                    // A lone bin has no second head to share a step with.
+                    let expected = if len > 1 { len.div_ceil(BIN_LANES) } else { 0 };
+                    assert_eq!(groups, expected, "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn declined_isolated_groups_fall_back_bin_by_bin() {
+    // The sampler declines every group touching x < limit; an isolated
+    // lane also holds its bin's lower edge, so the group that *starts*
+    // at the limit is the first one accepted.
+    let bins = linear(1.0, 9.0, 32);
+    for (limit, accepted) in [(-1.0, 4), (3.0, 3), (3.1, 2), (8.9, 0), (20.0, 0)] {
+        let s = nodewise(0.4, limit);
+        let what = format!("limit {limit}");
+        let groups = assert_isolated_equals_per_bin(s, &bins, 64, 0..bins.len(), &what);
+        assert_eq!(groups, accepted, "{what}");
     }
 }
 
@@ -280,4 +347,28 @@ fn vector_mode_and_romberg_never_enter_the_lanes() {
         &mut out,
         MathMode::Exact,
     );
+    // Isolated plans likewise: every bin pays its own lower edge and
+    // equals the same rule on that bin alone.
+    for (rule, math) in [
+        (BinRule::Simpson { panels: 8 }, MathMode::Vector),
+        (BinRule::Romberg { k: 4 }, MathMode::Exact),
+        (BinRule::Romberg { k: 4 }, MathMode::Vector),
+    ] {
+        let mut isolated = vec![0.0; bins.len()];
+        let evals = BinPlan::isolated(rule, &bins, math).integrate(
+            &mut NoLanes,
+            0..bins.len(),
+            &mut isolated,
+        );
+        assert_eq!(evals, bins.len() as u64 * rule.evals_per_isolated_bin());
+        for (i, got) in isolated.iter().enumerate() {
+            let mut alone = [0.0];
+            integrate_bins_sampled_mode(rule, &mut NoLanes, &bins[i..=i], &mut alone, math);
+            assert_eq!(
+                got.to_bits(),
+                alone[0].to_bits(),
+                "{rule:?} {math:?}: bin {i}"
+            );
+        }
+    }
 }

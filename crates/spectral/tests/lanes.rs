@@ -135,6 +135,83 @@ fn a_gap_mid_run_and_a_zero_coefficient_match_scalar() {
     }
 }
 
+/// Integrate `bins[range]` through an isolated plan and, as the
+/// reference, every bin of the range alone through the scalar-only
+/// sampler. Returns how many groups ran in lockstep.
+fn assert_isolated_equals_per_bin(
+    p: PreparedIntegrand,
+    bins: &[(f64, f64)],
+    panels: usize,
+    range: std::ops::Range<usize>,
+    what: &str,
+) -> usize {
+    let rule = BinRule::Simpson { panels };
+    let mut lanes = vec![0.0; range.len()];
+    let mut alone = vec![0.0; range.len()];
+    let mut counting = Counting(p, 0);
+    let plan = BinPlan::isolated(rule, bins, MathMode::Exact);
+    let e_lanes = plan.integrate(&mut counting, range.clone(), &mut lanes);
+    let mut e_alone = 0;
+    for (i, slot) in range.zip(alone.chunks_mut(1)) {
+        let bin = &bins[i..=i];
+        e_alone +=
+            integrate_bins_sampled_mode(rule, &mut ScalarLanes(p), bin, slot, MathMode::Exact);
+    }
+    assert_eq!(e_lanes, e_alone, "{what}: evals");
+    for (i, (a, b)) in lanes.iter().zip(&alone).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: bin {i}: {a:e} vs {b:e}");
+    }
+    counting.1
+}
+
+#[test]
+fn isolated_lanes_match_the_scalar_recurrence_and_decline_like_it() {
+    // What a one-bin simulated thread computes: each bin's full 2n + 1
+    // node grid, lower edge included. 130 panels cross the 256-node
+    // re-anchor; one panel leaves three nodes, too few for the
+    // recurrence, so every group declines.
+    let p = RrcIntegrand::new(862.0, 50.0, 2, 1.0, 1e-4).prepare();
+    for bins in [linear(100.0, 1300.0, 30), logarithmic(100.0, 1300.0, 30)] {
+        for panels in PANELS {
+            for start in [0usize, 1, 5, 8, 11] {
+                for len in 1usize..=17 {
+                    let what = format!("{start}..+{len}, {panels} panels");
+                    let groups =
+                        assert_isolated_equals_per_bin(p, &bins, panels, start..start + len, &what);
+                    let expected = if panels > 1 && len > 1 {
+                        len.div_ceil(BIN_LANES)
+                    } else {
+                        0
+                    };
+                    assert_eq!(groups, expected, "{what}");
+                }
+            }
+        }
+    }
+    let bins = linear(100.0, 1300.0, 32);
+    // A threshold inside bin 11: the group holding a lane that reaches
+    // below it declines as a whole (those bins walk the zero-prefix
+    // scalar path), the groups above run in lockstep.
+    let inside = RrcIntegrand::new(862.0, 520.0, 2, 1.0, 1e-4).prepare();
+    // kT = 0 collapses the coefficient to zero: nothing enters a lane.
+    let dead = RrcIntegrand::new(0.0, 50.0, 2, 1.0, 1e-4).prepare();
+    assert_eq!(dead.coeff, 0.0);
+    // A reversed bin is not an ascending uniform grid: its group
+    // declines, the others do not.
+    let mut reversed = bins.clone();
+    reversed[19] = (bins[19].1, bins[19].0);
+    for panels in [2usize, 3, 64, 130] {
+        for (p, bins, accepted, what) in [
+            (inside, &bins, 2, "threshold inside a lane"),
+            (dead, &bins, 0, "coeff == 0"),
+            (p, &reversed, 3, "non-uniform lane"),
+        ] {
+            let groups = assert_isolated_equals_per_bin(p, bins, panels, 0..32, what);
+            assert_eq!(groups, accepted, "{what}, {panels} panels");
+        }
+    }
+}
+
 #[test]
 fn clamped_head_bins_and_shared_plans_match_scalar_per_level() {
     // The calculator's shape: one plan per ion, every level integrated
