@@ -27,14 +27,12 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::{
     CostKey, CostModel, Knob, OnlineTuner, SchedPolicy, Scheduler, TunerDim, TunerKnobs,
     TuningConfig,
 };
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use jsonlite::ObjectBuilder;
-use quadrature::MathMode;
 use rrc_spectral::{EnergyGrid, GridPoint, Integrator, SerialCalculator};
 
 // ------------------------------------------------------------------
@@ -122,7 +120,7 @@ struct PhaseConvergence {
 /// Run the real controller over the drift schedule; returns the
 /// per-epoch latencies it achieved and when it settled in each phase.
 fn run_adaptive(tuning: TuningConfig) -> (Vec<f64>, Vec<PhaseConvergence>) {
-    let knobs = Arc::new(TunerKnobs::new(0, 4, 0, 8, 4));
+    let knobs = Arc::new(TunerKnobs::new(4, 0, 8, 4));
     let tuner = OnlineTuner::new(Arc::clone(&knobs), tuning.patience);
     tuner.add_dim(TunerDim {
         knob: Knob::MaxBatch,
@@ -223,26 +221,16 @@ fn placement_imbalance(blend: Option<&CostModel>, waves: usize, tasks_per_wave: 
 
 fn tuned_engine_config(db: &Arc<AtomDatabase>, gpus: usize, policy: SchedPolicy) -> EngineConfig {
     EngineConfig {
-        db: Arc::clone(db),
-        workers: 3,
         gpus,
         max_queue_len: 4,
         policy,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
         queue_depth: 8,
-        deterministic_kernel: true,
-        math: MathMode::Exact,
-        pack_threshold: 8,
-        pack_max: 8,
-        resilience: hybrid_spectral::ResilienceConfig::default(),
         // Tiny epochs so the controller provably moves during the run.
         tuning: TuningConfig {
             epoch_tasks: 4,
             ..TuningConfig::enabled()
         },
+        ..EngineConfig::deterministic(Arc::clone(db), 3)
     }
 }
 

@@ -28,13 +28,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use gpu_sim::{DeviceRule, FaultKind, FaultOp, FaultPlan, Precision};
-use hybrid_sched::{HealthConfig, HealthState, SchedPolicy};
+use gpu_sim::{FaultKind, FaultOp, FaultPlan};
+use hybrid_sched::{HealthConfig, HealthState};
 use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
 use hybrid_spectral::ResilienceConfig;
 use jsonlite::ObjectBuilder;
-use quadrature::MathMode;
-use rrc_spectral::{EnergyGrid, GridPoint, Integrator};
+use rrc_spectral::{EnergyGrid, GridPoint};
 
 fn point() -> GridPoint {
     GridPoint {
@@ -51,22 +50,11 @@ fn engine_config(
     resilience: ResilienceConfig,
 ) -> EngineConfig {
     EngineConfig {
-        db: Arc::clone(db),
-        workers: 3,
         gpus,
         max_queue_len: 4,
-        policy: SchedPolicy::CostAware,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
         queue_depth: 8,
-        deterministic_kernel: true,
-        math: MathMode::Exact,
-        pack_threshold: 0,
-        pack_max: 8,
         resilience,
-        tuning: hybrid_sched::TuningConfig::default(),
+        ..EngineConfig::deterministic(Arc::clone(db), 3)
     }
 }
 

@@ -25,32 +25,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::SchedPolicy;
 use hybrid_spectral::engine::{Engine, EngineConfig};
-use hybrid_spectral::{ResidentSpectrum, ResilienceConfig};
+use hybrid_spectral::ResidentSpectrum;
 use jsonlite::ObjectBuilder;
-use quadrature::MathMode;
-use rrc_spectral::{EnergyGrid, GridPoint, Integrator};
+use rrc_spectral::{EnergyGrid, GridPoint};
 
 fn engine_config(db: &Arc<AtomDatabase>, gpus: usize, policy: SchedPolicy) -> EngineConfig {
     EngineConfig {
-        db: Arc::clone(db),
-        workers: 3,
         gpus,
         max_queue_len: 4,
         policy,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
         queue_depth: 8,
-        deterministic_kernel: true,
-        math: MathMode::Exact,
-        pack_threshold: 0,
-        pack_max: 8,
-        resilience: ResilienceConfig::default(),
-        tuning: hybrid_sched::TuningConfig::default(),
+        ..EngineConfig::deterministic(Arc::clone(db), 3)
     }
 }
 

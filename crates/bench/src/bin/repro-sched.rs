@@ -29,7 +29,6 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::SchedPolicy;
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use hybrid_spectral::ion_task_cost;
@@ -230,22 +229,10 @@ fn engine_parity(policy: SchedPolicy, max_z: u8, bins: usize) -> EngineRun {
         index: 0,
     };
     let engine = Engine::start(EngineConfig {
-        db: Arc::clone(&db),
-        workers: 3,
-        gpus: 2,
         max_queue_len: QUEUE_BOUND as u64,
         policy,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
         queue_depth: 8,
-        deterministic_kernel: true,
-        math: quadrature::MathMode::Exact,
-        pack_threshold: 0,
-        pack_max: 8,
-        resilience: hybrid_spectral::ResilienceConfig::default(),
-        tuning: hybrid_sched::TuningConfig::default(),
+        ..EngineConfig::deterministic(Arc::clone(&db), 3)
     });
     let ions = db.ions().len();
     let (tx, rx) = channel();

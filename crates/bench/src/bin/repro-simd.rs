@@ -1,7 +1,7 @@
 //! Regenerate `BENCH_simd.json`: acceptance gates for the vectorized
-//! math layer and small-ion launch aggregation.
+//! math layer.
 //!
-//! Five gates:
+//! Four gates:
 //!
 //! 1. **`vexp` microbench** — the lane-parallel exponential must be
 //!    ≥ 2x faster than a scalar `f64::exp` loop over the same
@@ -11,23 +11,13 @@
 //!    faster than `MathMode::Exact` over the paper workload (full
 //!    periodic table, paper waveband, Simpson-64 fused path) on one
 //!    thread.
-//! 3. **Launch aggregation** — on a tiny-ion-heavy adversarial mix
-//!    (single-level tasks, 16-bin grid), packing small grants into
-//!    aggregated launches must cut the *modeled* device busy time per
-//!    device task by ≥ 1.2x. This half is deterministic: it reads the
-//!    cost model's `virtual_busy_seconds`, not wall clock.
-//! 4. **Accuracy** — Vector-mode spectra stay within 1e-12 relative of
+//! 3. **Accuracy** — Vector-mode spectra stay within 1e-12 relative of
 //!    Exact, and `vexp` within 1e-14 of `f64::exp` per element.
-//! 5. **Bitwise parity** — in Exact mode every engine ion partial
-//!    matches the serial reference bitwise with aggregation on and
-//!    off (0, 1 and 2 GPUs).
-//!
-//! The pack threshold fed to gate 3 is chosen by the existing
-//! [`AutoTuner`] sweeping candidate thresholds against modeled device
-//! seconds; the sweep observations are reported in the JSON.
+//! 4. **Bitwise parity** — in Exact mode every engine ion partial
+//!    matches the serial reference bitwise (0, 1 and 2 GPUs).
 //!
 //! `--smoke` shrinks the workloads for CI. The deterministic gates
-//! (3, 4, 5) stay asserted; the two wall-clock gates (1, 2) are
+//! (3, 4) stay asserted; the two wall-clock gates (1, 2) are
 //! measured and reported but only *enforced* in full runs, so noisy
 //! shared runners cannot flake the job.
 
@@ -36,8 +26,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use gpu_sim::{DeviceRule, Precision};
-use hybrid_sched::{AutoTuner, SchedPolicy, TuningConfig};
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use jsonlite::ObjectBuilder;
 use microbench::{black_box, Criterion};
@@ -83,74 +71,15 @@ fn ion_sweep(
     evals
 }
 
-/// Engine configuration for the deterministic aggregation halves.
-fn engine_config(db: &Arc<AtomDatabase>, gpus: usize, pack_threshold: u64) -> EngineConfig {
-    EngineConfig {
-        db: Arc::clone(db),
-        workers: 1,
-        gpus,
-        max_queue_len: 64,
-        policy: SchedPolicy::CostAware,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
-        queue_depth: 64,
-        deterministic_kernel: true,
-        math: MathMode::Exact,
-        pack_threshold,
-        pack_max: 8,
-        resilience: hybrid_spectral::ResilienceConfig::default(),
-        tuning: TuningConfig::default(),
-    }
-}
-
-/// Drive the engine over `rounds` copies of the tiny-ion mix (every
-/// ion of the database as a single-level task over a 16-bin grid) and
-/// return `(total modeled device seconds, device tasks)`.
-fn tiny_mix_device_time(db: &Arc<AtomDatabase>, rounds: u64, pack_threshold: u64) -> (f64, u64) {
-    let engine = Engine::start(engine_config(db, 1, pack_threshold));
-    let grid = EnergyGrid::linear(50.0, 2000.0, 16);
-    let bins = Arc::new(grid.bin_pairs());
-    let ions = db.ions().len();
-    let (tx, rx) = channel();
-    let mut submitted = 0u64;
-    for round in 0..rounds {
-        for ion_index in 0..ions {
-            engine
-                .submit(IonJob {
-                    ion_index,
-                    level_range: 0..1,
-                    point: point(),
-                    grid: grid.clone(),
-                    bins: Arc::clone(&bins),
-                    tag: round,
-                    deadline: f64::INFINITY,
-                    reply: tx.clone(),
-                })
-                .ok()
-                .expect("engine accepts the mix");
-            submitted += 1;
-        }
-    }
-    drop(tx);
-    let outcomes: Vec<IonOutcome> = rx.iter().collect();
-    assert_eq!(outcomes.len() as u64, submitted, "every task must reply");
-    let report = engine.shutdown();
-    assert_eq!(report.leaked_grants, 0, "aggregation leaked a grant");
-    assert!(report.gpu_tasks > 0, "mix never reached the device");
-    (report.device_virtual_seconds[0], report.gpu_tasks)
-}
-
 /// Exact-mode engine partials for every ion, as `(ion, partial)` rows
 /// sorted by ion, for the bitwise-parity gate.
-fn engine_partials(
-    db: &Arc<AtomDatabase>,
-    grid: &EnergyGrid,
-    gpus: usize,
-    pack_threshold: u64,
-) -> Vec<Vec<f64>> {
-    let engine = Engine::start(engine_config(db, gpus, pack_threshold));
+fn engine_partials(db: &Arc<AtomDatabase>, grid: &EnergyGrid, gpus: usize) -> Vec<Vec<f64>> {
+    let engine = Engine::start(EngineConfig {
+        gpus,
+        max_queue_len: 64,
+        queue_depth: 64,
+        ..EngineConfig::deterministic(Arc::clone(db), 1)
+    });
     let bins = Arc::new(grid.bin_pairs());
     let (tx, rx) = channel();
     for ion_index in 0..db.ions().len() {
@@ -180,7 +109,7 @@ fn engine_partials(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
-    // ---------------------------------------------------- gate 4a: vexp accuracy
+    // ---------------------------------------------------- gate 3a: vexp accuracy
     let args = exp_args(if smoke { 20_000 } else { 200_000 });
     let mut got = args.clone();
     simd::vexp(&mut got);
@@ -229,7 +158,7 @@ fn main() {
         })
     });
 
-    // ---------------------------------------------------- gate 2 + 4b: ion sweep
+    // ---------------------------------------------------- gate 2 + 3b: ion sweep
     let sweep_db = AtomDatabase::generate(DatabaseConfig {
         max_z: if smoke { 8 } else { 26 },
         ..DatabaseConfig::default()
@@ -291,63 +220,28 @@ fn main() {
     let vexp_speedup_pass = vexp_speedup >= 2.0;
     let sweep_speedup_pass = sweep_speedup >= 1.4;
 
-    // -------------------------------------------- gate 3: launch aggregation
-    // Small database: every task is genuinely tiny (single level, 16
-    // bins), the adversarial shape for per-launch overhead.
-    let agg_db = Arc::new(AtomDatabase::generate(DatabaseConfig {
+    // ---------------------------------------------------- gate 4: bitwise parity
+    eprintln!("checking Exact-mode bitwise parity ...");
+    let parity_db = Arc::new(AtomDatabase::generate(DatabaseConfig {
         max_z: 6,
         ..DatabaseConfig::default()
     }));
-    let rounds = if smoke { 2 } else { 4 };
-
-    // Pick the pack threshold with the paper's inflexion-style tuner:
-    // probe increasing thresholds until modeled device time stops
-    // improving.
-    // The sweep shares the runtime knob surface: same probe step and
-    // patience budget as the resident controller's defaults.
-    eprintln!("autotuning pack threshold ...");
-    let sweep = TuningConfig::default();
-    let mut tuner = AutoTuner::new(sweep.step, sweep.step, 64).with_patience(sweep.patience);
-    while let Some(threshold) = tuner.next_candidate() {
-        let (seconds, _) = tiny_mix_device_time(&agg_db, rounds, threshold);
-        tuner.observe(threshold, seconds);
-    }
-    let (tuned_threshold, _) = tuner.best().expect("tuner observed every probe");
-    let observations = tuner.observations().to_vec();
-
-    let (unpacked_s, unpacked_tasks) = tiny_mix_device_time(&agg_db, rounds, 0);
-    let (packed_s, packed_tasks) = tiny_mix_device_time(&agg_db, rounds, tuned_threshold);
-    let agg_speedup = (unpacked_s / unpacked_tasks as f64) / (packed_s / packed_tasks as f64);
-    let agg_pass = agg_speedup >= 1.2;
-    assert!(
-        agg_pass,
-        "aggregation gate: modeled per-task device time improved only {agg_speedup:.2}x (< 1.2x)"
-    );
-
-    // ---------------------------------------------------- gate 5: bitwise parity
-    eprintln!("checking Exact-mode bitwise parity under aggregation ...");
     let parity_grid = EnergyGrid::linear(50.0, 2000.0, 64);
     let serial = SerialCalculator::new(
-        (*agg_db).clone(),
+        (*parity_db).clone(),
         parity_grid.clone(),
         Integrator::Simpson { panels: 64 },
     );
-    let reference: Vec<Vec<f64>> = (0..agg_db.ions().len())
+    let reference: Vec<Vec<f64>> = (0..parity_db.ions().len())
         .map(|i| serial.ion_spectrum(i, &point()).bins().to_vec())
         .collect();
     let gpu_counts: &[usize] = if smoke { &[1] } else { &[0, 1, 2] };
     for &gpus in gpu_counts {
-        for pack_threshold in [0, u64::MAX] {
-            let partials = engine_partials(&agg_db, &parity_grid, gpus, pack_threshold);
-            assert_eq!(partials.len(), reference.len());
-            for (ion, (got, want)) in partials.iter().zip(&reference).enumerate() {
-                for (bin, (&a, &r)) in got.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        r.to_bits(),
-                        "gpus={gpus} pack={pack_threshold} ion {ion} bin {bin}"
-                    );
-                }
+        let partials = engine_partials(&parity_db, &parity_grid, gpus);
+        assert_eq!(partials.len(), reference.len());
+        for (ion, (got, want)) in partials.iter().zip(&reference).enumerate() {
+            for (bin, (&a, &r)) in got.iter().zip(want).enumerate() {
+                assert_eq!(a.to_bits(), r.to_bits(), "gpus={gpus} ion {ion} bin {bin}");
             }
         }
     }
@@ -356,20 +250,8 @@ fn main() {
     // ---------------------------------------------------------------- report
     let pass = vexp_accuracy_pass
         && sweep_accuracy_pass
-        && agg_pass
         && parity_pass
         && (smoke || (vexp_speedup_pass && sweep_speedup_pass));
-    let sweep_obs = jsonlite::Value::Array(
-        observations
-            .iter()
-            .map(|&(t, s)| {
-                ObjectBuilder::new()
-                    .field("pack_threshold", t as f64)
-                    .field("modeled_device_seconds", s)
-                    .build()
-            })
-            .collect(),
-    );
     let bundle = ObjectBuilder::new()
         .field("smoke", smoke)
         .field("avx2", simd::using_avx2())
@@ -401,20 +283,6 @@ fn main() {
                 .build(),
         )
         .field(
-            "aggregation",
-            ObjectBuilder::new()
-                .field("tuned_pack_threshold", tuned_threshold as f64)
-                .field("tuner_observations", sweep_obs)
-                .field("unpacked_device_seconds", unpacked_s)
-                .field("unpacked_device_tasks", unpacked_tasks)
-                .field("packed_device_seconds", packed_s)
-                .field("packed_device_tasks", packed_tasks)
-                .field("per_task_speedup", agg_speedup)
-                .field("gate", 1.2)
-                .field("pass", agg_pass)
-                .build(),
-        )
-        .field(
             "accuracy",
             ObjectBuilder::new()
                 .field("vexp_max_rel_error", vexp_max_rel)
@@ -441,7 +309,6 @@ fn main() {
         simd::using_avx2()
     );
     println!("ion-sweep speedup (Vector vs Exact): {sweep_speedup:.2}x");
-    println!("aggregation per-task speedup: {agg_speedup:.2}x (threshold {tuned_threshold})");
     if !smoke {
         assert!(
             vexp_speedup_pass,

@@ -66,7 +66,6 @@
 //! benches).
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -74,8 +73,8 @@ use std::time::{Duration, Instant};
 
 use atomdb::AtomDatabase;
 use gpu_sim::{
-    BinIntegrationKernel, DeviceFault, DevicePtr, DeviceRule, FaultCounters, FusedBinKernel,
-    LaunchConfig, Precision, SimGpu,
+    DeviceFault, DevicePtr, DeviceRule, FaultCounters, FusedBinKernel, LaunchConfig, Precision,
+    SimGpu,
 };
 use hybrid_sched::{
     CostKey, CostModel, DeviceId, Grant, HealthState, Knob, Next, OnlineTuner, SchedPolicy,
@@ -113,9 +112,6 @@ pub struct EngineConfig {
     pub gpu_precision: Precision,
     /// CPU fallback integrator (paper: QAGS).
     pub cpu_integrator: Integrator,
-    /// Route device tasks through the fused hot path (PR 1); `false`
-    /// keeps the seed per-bin kernel for A/B runs.
-    pub fused: bool,
     /// Capacity of the bounded ion-task queue feeding the workers —
     /// the engine-tier admission bound.
     pub queue_depth: usize,
@@ -129,29 +125,46 @@ pub struct EngineConfig {
     /// Simpson/Romberg accumulations through the lane-parallel
     /// [`quadrature::simd`] layer.
     pub math: MathMode,
-    /// Launch aggregation: staged device tasks whose estimated cost is
-    /// **strictly below** this many work units are packed with further
-    /// small tasks from the same lane into one kernel launch + one D2H
-    /// copy (amortizing the per-launch overheads that dominate
-    /// tiny-ion workloads). `0` disables aggregation.
-    pub pack_threshold: u64,
-    /// Upper bound on tasks per aggregated launch (floor 2 when
-    /// aggregation is enabled).
-    pub pack_max: usize,
     /// Fault injection, retry/backoff, deadline-watchdog and
     /// device-health configuration. [`ResilienceConfig::default`] is
     /// the fault-free production shape.
     pub resilience: ResilienceConfig,
     /// Online autotuning: when enabled, a resident
     /// [`hybrid_sched::OnlineTuner`] controller thread retunes the live
-    /// knob block (pack threshold, active ranks — plus
-    /// service-registered dimensions) against decision-epoch signals.
-    /// Off by default; every knob it can move is placement/batching
-    /// only, so deterministic-kernel numerics stay bitwise invariant.
+    /// knob block (active ranks — plus service-registered dimensions)
+    /// against decision-epoch signals. Off by default; every knob it
+    /// can move is placement/batching only, so deterministic-kernel
+    /// numerics stay bitwise invariant.
     pub tuning: TuningConfig,
 }
 
 impl EngineConfig {
+    /// A bitwise-deterministic engine over `db` with `workers` ranks:
+    /// Simpson-64 on the devices and the CPU fallback, f64, Exact math
+    /// and single-chunk kernel launches, so an ion partial has the same
+    /// bits wherever it runs. Two devices of queue length 6 under
+    /// cost-aware placement, an ion-task queue of twice the workers,
+    /// fault-free, tuning off. The service and router tiers start from
+    /// this.
+    #[must_use]
+    pub fn deterministic(db: Arc<AtomDatabase>, workers: usize) -> EngineConfig {
+        EngineConfig {
+            db,
+            workers,
+            gpus: 2,
+            max_queue_len: 6,
+            policy: SchedPolicy::CostAware,
+            gpu_rule: DeviceRule::Simpson { panels: 64 },
+            gpu_precision: Precision::Double,
+            cpu_integrator: Integrator::Simpson { panels: 64 },
+            queue_depth: 2 * workers,
+            deterministic_kernel: true,
+            math: MathMode::Exact,
+            resilience: ResilienceConfig::default(),
+            tuning: TuningConfig::default(),
+        }
+    }
+
     /// Derive a resident-engine configuration from a batch
     /// [`HybridConfig`] (same devices, ranks-as-workers, same
     /// numerics; covering kernel launches).
@@ -166,12 +179,9 @@ impl EngineConfig {
             gpu_rule: cfg.gpu_rule,
             gpu_precision: cfg.gpu_precision,
             cpu_integrator: cfg.cpu_integrator,
-            fused: cfg.fused,
             queue_depth: 2 * cfg.ranks.max(1),
             deterministic_kernel: false,
             math: cfg.math,
-            pack_threshold: cfg.pack_threshold,
-            pack_max: 8,
             resilience: cfg.resilience.clone(),
             tuning: cfg.tuning,
         }
@@ -472,7 +482,6 @@ impl Engine {
         // tuning disabled nothing ever writes it, so the hot paths read
         // exactly the configured values.
         let knobs = Arc::new(TunerKnobs::new(
-            config.pack_threshold,
             1, // lanes are synchronous: no engine dimension reads the window
             0,
             0,
@@ -480,12 +489,6 @@ impl Engine {
         ));
         let tuner = config.tuning.enabled.then(|| {
             let tuner = Arc::new(OnlineTuner::new(Arc::clone(&knobs), config.tuning.patience));
-            tuner.add_dim(TunerDim {
-                knob: Knob::PackThreshold,
-                min: 0,
-                max: 4096,
-                step: config.tuning.step.max(1),
-            });
             tuner.add_dim(TunerDim {
                 knob: Knob::ActiveRanks,
                 min: 1,
@@ -1134,27 +1137,21 @@ fn pump_loop(lane: &Lane<'_>) {
     let mut buf: Option<DevicePtr> = None;
 
     loop {
-        // Read fresh each iteration from the live block (equals the
-        // frozen config when tuning is off).
-        let pack_threshold = lane.adaptive.knobs.pack_threshold();
         // Steal only with room to hold the reassigned grant — and only
         // while this device may receive work at all (a quarantined or
         // lost device must not pull tasks toward itself); `next` itself
         // only steals once this lane is empty (device idle).
         let can_steal = scheduler.load(DeviceId(d)) < config.max_queue_len
             && scheduler.device_eligible(DeviceId(d));
-        let (mut task, was_local) = match staged.next(d, can_steal) {
-            Next::Local(t) => (t.item, true),
+        let task = match staged.next(d, can_steal) {
+            Next::Local(t) => t.item,
             Next::Stolen { victim, task } => match scheduler.reassign(task.item.grant, DeviceId(d))
             {
-                Ok(grant) => (
-                    StagedTask {
-                        grant,
-                        staged_virtual_s: device.virtual_busy_seconds(),
-                        ..task.item
-                    },
-                    false,
-                ),
+                Ok(grant) => StagedTask {
+                    grant,
+                    staged_virtual_s: device.virtual_busy_seconds(),
+                    ..task.item
+                },
                 Err(_) => {
                     // Raced to the bound: hand the task back and look
                     // again. No spin — the grants that filled this
@@ -1173,33 +1170,6 @@ fn pump_loop(lane: &Lane<'_>) {
             note_device_failure(scheduler, d, fault);
             lane.recover_or_fallback(task);
             continue;
-        }
-
-        // Launch aggregation: a small *local* head task greedily packs
-        // further small local tasks over the same bin table into one
-        // launch (one kernel submission, one D2H copy, one cost-model
-        // charge). Stolen heads never pack — their grant just moved and
-        // the victim's lane, not ours, holds the related backlog.
-        if was_local && pack_threshold > 0 && task.grant.cost < pack_threshold {
-            let mut pack: Vec<StagedTask> = vec![task];
-            while pack.len() < config.pack_max.max(2) {
-                let Some(t) = staged.try_next_local_under(d, pack_threshold) else {
-                    break;
-                };
-                if Arc::ptr_eq(&t.item.job.bins, &pack[0].job.bins) {
-                    pack.push(t.item);
-                } else {
-                    // Different bin table: re-stage it (its grant is
-                    // untouched) and stop packing.
-                    staged.stage(d, t.cost, t.item);
-                    break;
-                }
-            }
-            if pack.len() > 1 {
-                lane.aggregated_launch(pack);
-                continue;
-            }
-            task = pack.pop().expect("pack holds the head task");
         }
 
         let bytes = 8 * task.job.bins.len() as u64;
@@ -1301,123 +1271,6 @@ impl Lane<'_> {
         });
     }
 
-    /// One aggregated launch for `pack` (≥ 2 small tasks): every packed
-    /// ion's kernel runs back to back as **one** piece of device work
-    /// writing its own region of one fresh device buffer, and one
-    /// settle makes **one** cost-model charge for the whole pack —
-    /// amortizing the per-launch and per-transfer overheads that
-    /// dominate tiny-ion workloads. The per-ion operation sequence is
-    /// exactly the single-task path's, so Exact-mode partials are
-    /// bitwise identical with aggregation on or off; the observed
-    /// service time is apportioned to each grant by its cost fraction
-    /// so the scheduler's seconds-per-unit EWMA stays calibrated.
-    fn aggregated_launch(&self, pack: Vec<StagedTask>) {
-        let (d, config, scheduler) = (self.d, self.config, self.scheduler);
-        let device = &self.devices[d];
-        // The lane buffer is sized for one ion's bins; a pack allocates
-        // (and frees, in its settle) one buffer spanning every packed
-        // ion's output slice.
-        let nbins = pack[0].job.bins.len();
-        let ptr = device.malloc(8 * (nbins * pack.len()) as u64).ok();
-        let total_cost: u64 = pack.iter().map(|t| t.grant.cost.max(1)).sum();
-        let bytes_in: u64 = pack
-            .iter()
-            .map(|t| 64 + 16 * t.job.level_range.len() as u64)
-            .sum();
-        // The pack waited since its head was staged.
-        let staged_virtual_s = pack[0].staged_virtual_s;
-
-        // Each packed ion gets its own kernel fault decision, and its
-        // own unwind boundary: one injected panic fails that member
-        // alone, not the whole pack.
-        let launched_at = Instant::now();
-        let results: Vec<Option<(Vec<f64>, u64)>> = device
-            .run_inline(|| {
-                pack.iter()
-                    .map(|member| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            device.faults().fire_kernel();
-                            run_kernel(config, &member.job)
-                        }))
-                        .ok()
-                    })
-                    .collect()
-            })
-            .expect("per-member panics are caught inside");
-
-        let _ = device.run_inline(|| {
-            let bytes_out = ptr.map_or(0, |b| b.bytes);
-            let timed_out = config
-                .resilience
-                .task_deadline
-                .is_some_and(|dl| launched_at.elapsed() > dl);
-            // One physical copy-back for the whole pack: a DMA fault
-            // (or deadline overrun) fails every member.
-            let dma_fault = if timed_out {
-                None
-            } else {
-                device.faults().check_dma().err()
-            };
-            if timed_out {
-                FaultStats::bump(&self.fault_stats.task_timeouts);
-                scheduler.health().record_failure(d);
-            } else if let Some(fault) = dma_fault {
-                note_device_failure(scheduler, d, fault);
-            }
-            let evals_total: u64 = results
-                .iter()
-                .map(|r| r.as_ref().map_or(0, |(_, evals)| *evals))
-                .sum();
-            // ONE launch + ONE transfer for the whole pack — the
-            // amortization aggregation buys.
-            let measured =
-                device.charge_task_measured(evals_total, bytes_in, bytes_out, staged_virtual_s);
-            let service_s = measured.device_s();
-            if let Some(buf) = ptr {
-                device.free(buf);
-            }
-            for (member, outcome) in pack.into_iter().zip(results) {
-                match outcome {
-                    Some((partial, evals)) if !timed_out && dma_fault.is_none() => {
-                        scheduler.health().record_success(d);
-                        FaultStats::bump(&self.fault_stats.gpu_completions);
-                        let share = service_s * member.grant.cost.max(1) as f64 / total_cost as f64;
-                        // Each packed member observes its cost-fraction
-                        // share of the measured pack time, so packed
-                        // classes learn the *amortized* per-unit rate.
-                        self.adaptive
-                            .cost
-                            .observe(&member.key, member.static_cost, share);
-                        scheduler.free_observed(member.grant, share);
-                        self.adaptive.completed.fetch_add(1, Ordering::Relaxed);
-                        let job = &member.job;
-                        let _ = job.reply.send(IonOutcome {
-                            ion_index: job.ion_index,
-                            level_start: job.level_range.start,
-                            tag: job.tag,
-                            partial,
-                            path: ExecPath::Gpu(d),
-                            evals,
-                        });
-                    }
-                    outcome => {
-                        if outcome.is_none() && !timed_out && dma_fault.is_none() {
-                            // This member's kernel panicked (the pack's
-                            // other fault classes were noted above).
-                            let fault = if device.faults().is_lost() {
-                                DeviceFault::Lost
-                            } else {
-                                DeviceFault::LaunchFailed
-                            };
-                            note_device_failure(scheduler, d, fault);
-                        }
-                        self.recover_or_fallback(member);
-                    }
-                }
-            }
-        });
-    }
-
     /// The recovery ladder for one failed device task: bounded
     /// exponential backoff, then reassignment to another
     /// placement-eligible device (exact grant accounting via
@@ -1476,10 +1329,10 @@ impl Lane<'_> {
 }
 
 /// Execute one ion task's kernel: integrand construction, windowing,
-/// launch-geometry choice, and the fused (or seed per-bin) kernel
-/// execution. [`EngineConfig::deterministic_kernel`] selects the
-/// single-chunk launch (see the module docs); otherwise the covering
-/// geometry is used.
+/// launch-geometry choice, and the fused kernel execution.
+/// [`EngineConfig::deterministic_kernel`] selects the single-chunk
+/// launch (see the module docs); otherwise the covering geometry is
+/// used.
 fn run_kernel(config: &EngineConfig, job: &IonJob) -> (Vec<f64>, u64) {
     let bin_pairs: &[(f64, f64)] = &job.bins;
     let (precision, rule, math) = (config.gpu_precision, config.gpu_rule, config.math);
@@ -1502,57 +1355,37 @@ fn run_kernel(config: &EngineConfig, job: &IonJob) -> (Vec<f64>, u64) {
     } else {
         LaunchConfig::cover(bin_pairs.len())
     };
-    let evals = if config.fused {
-        // Hot path: prepared 24-byte integrands, fused bin runs,
-        // batched sampling per bin grid — exponential recurrence in
-        // Exact mode, whole-grid `vexp` in Vector mode.
-        let prepared: Vec<PreparedIntegrand> = integrands
-            .iter()
-            .map(rrc_spectral::RrcIntegrand::prepare)
-            .collect();
-        match math {
-            MathMode::Exact => {
-                let kernel = FusedBinKernel {
-                    integrands: &prepared,
-                    bins: bin_pairs,
-                    precision,
-                    windows: Some(&windows),
-                    rule,
-                    math,
-                };
-                kernel.execute(cfg, &mut emi)
-            }
-            MathMode::Vector => {
-                let vectored: Vec<VectorPrepared> =
-                    prepared.into_iter().map(VectorPrepared).collect();
-                let kernel = FusedBinKernel {
-                    integrands: &vectored,
-                    bins: bin_pairs,
-                    precision,
-                    windows: Some(&windows),
-                    rule,
-                    math,
-                };
-                kernel.execute(cfg, &mut emi)
-            }
+    // Prepared 24-byte integrands, fused bin runs, batched sampling per
+    // bin grid — exponential recurrence in Exact mode, whole-grid
+    // `vexp` in Vector mode.
+    let prepared: Vec<PreparedIntegrand> = integrands
+        .iter()
+        .map(rrc_spectral::RrcIntegrand::prepare)
+        .collect();
+    let evals = match math {
+        MathMode::Exact => {
+            let kernel = FusedBinKernel {
+                integrands: &prepared,
+                bins: bin_pairs,
+                precision,
+                windows: Some(&windows),
+                rule,
+                math,
+            };
+            kernel.execute(cfg, &mut emi)
         }
-    } else {
-        // Seed path, kept for A/B comparison.
-        let closures: Vec<_> = integrands
-            .iter()
-            .map(|f| {
-                let f = *f;
-                move |e: f64| f.evaluate(e)
-            })
-            .collect();
-        let kernel = BinIntegrationKernel {
-            integrands: &closures,
-            bins: bin_pairs,
-            precision,
-            windows: Some(&windows),
-            rule,
-        };
-        kernel.execute(cfg, &mut emi)
+        MathMode::Vector => {
+            let vectored: Vec<VectorPrepared> = prepared.into_iter().map(VectorPrepared).collect();
+            let kernel = FusedBinKernel {
+                integrands: &vectored,
+                bins: bin_pairs,
+                precision,
+                windows: Some(&windows),
+                rule,
+                math,
+            };
+            kernel.execute(cfg, &mut emi)
+        }
     };
     (emi, evals)
 }
@@ -1569,22 +1402,10 @@ mod tests {
             ..atomdb::DatabaseConfig::default()
         });
         EngineConfig {
-            db: Arc::new(db),
-            workers: 3,
             gpus,
             max_queue_len: 4,
-            policy: SchedPolicy::CostAware,
-            gpu_rule: DeviceRule::Simpson { panels: 64 },
-            gpu_precision: Precision::Double,
-            cpu_integrator: Integrator::Simpson { panels: 64 },
-            fused: true,
             queue_depth: 8,
-            deterministic_kernel: true,
-            math: MathMode::Exact,
-            pack_threshold: 0,
-            pack_max: 8,
-            resilience: ResilienceConfig::default(),
-            tuning: TuningConfig::default(),
+            ..EngineConfig::deterministic(Arc::new(db), 3)
         }
     }
 
@@ -1741,137 +1562,6 @@ mod tests {
         let report = engine.shutdown();
         assert_eq!(report.gpu_tasks, 0);
         assert_eq!(report.leaked_grants, 0);
-    }
-
-    #[test]
-    fn aggregated_launches_are_bitwise_invariant_in_exact_mode() {
-        // Property test (tentpole): with the deterministic kernel and a
-        // shared bin rule, turning launch aggregation on must leave
-        // every ion partial bitwise unchanged — across 0, 1 and 2
-        // devices — because packing changes launch/copy *accounting*,
-        // never the per-ion operation sequence. The serial calculator
-        // anchors the reference.
-        let grid = EnergyGrid::linear(50.0, 2000.0, 64);
-        let bins = Arc::new(grid.bin_pairs());
-        let run = |gpus: usize, pack_threshold: u64| -> Vec<Vec<f64>> {
-            let mut cfg = small_config(gpus);
-            cfg.pack_threshold = pack_threshold;
-            cfg.pack_max = 4;
-            let engine = Engine::start(cfg);
-            let ions = engine.config().db.ions().len();
-            let (tx, rx) = channel();
-            for ion_index in 0..ions {
-                let levels = engine.config().db.levels_by_index(ion_index).len();
-                engine
-                    .submit(IonJob {
-                        ion_index,
-                        level_range: 0..levels,
-                        point: point(),
-                        grid: grid.clone(),
-                        bins: Arc::clone(&bins),
-                        tag: ion_index as u64,
-                        deadline: f64::INFINITY,
-                        reply: tx.clone(),
-                    })
-                    .ok()
-                    .unwrap();
-            }
-            drop(tx);
-            let mut outcomes: Vec<IonOutcome> = rx.iter().collect();
-            outcomes.sort_by_key(|o| o.ion_index);
-            let report = engine.shutdown();
-            assert_eq!(report.leaked_grants, 0, "gpus={gpus} pack={pack_threshold}");
-            outcomes.into_iter().map(|o| o.partial).collect()
-        };
-
-        let db = {
-            let cfg = small_config(0);
-            cfg.db
-        };
-        let serial = SerialCalculator::new(
-            (*db).clone(),
-            grid.clone(),
-            Integrator::Simpson { panels: 64 },
-        );
-        let reference: Vec<Vec<f64>> = (0..db.ions().len())
-            .map(|i| serial.ion_spectrum(i, &point()).bins().to_vec())
-            .collect();
-
-        for gpus in [0usize, 1, 2] {
-            // u64::MAX threshold forces every task under the pack bound.
-            let packed = run(gpus, u64::MAX);
-            let unpacked = run(gpus, 0);
-            for (ion, (p, u)) in packed.iter().zip(&unpacked).enumerate() {
-                for (bin, ((&a, &b), &r)) in p.iter().zip(u.iter()).zip(&reference[ion]).enumerate()
-                {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "gpus={gpus} ion {ion} bin {bin}: packed vs unpacked"
-                    );
-                    assert_eq!(
-                        b.to_bits(),
-                        r.to_bits(),
-                        "gpus={gpus} ion {ion} bin {bin}: engine vs serial"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn aggregation_reduces_modeled_device_time_on_tiny_tasks() {
-        // Tiny Level-granularity tasks are launch-overhead-bound; the
-        // cost model must show packing amortizing the per-launch and
-        // per-transfer charges (the deterministic gate repro-simd uses).
-        let run = |pack_threshold: u64| -> (f64, u64) {
-            let mut cfg = small_config(1);
-            cfg.workers = 1;
-            cfg.pack_threshold = pack_threshold;
-            cfg.pack_max = 8;
-            // Deep queues so the pump sees real backlog to pack.
-            cfg.max_queue_len = 64;
-            cfg.queue_depth = 64;
-            let engine = Engine::start(cfg);
-            let grid = EnergyGrid::linear(50.0, 2000.0, 16);
-            let bins = Arc::new(grid.bin_pairs());
-            let ions = engine.config().db.ions().len();
-            let (tx, rx) = channel();
-            let mut submitted = 0u64;
-            for round in 0..4u64 {
-                for ion_index in 0..ions {
-                    engine
-                        .submit(IonJob {
-                            ion_index,
-                            level_range: 0..1,
-                            point: point(),
-                            grid: grid.clone(),
-                            bins: Arc::clone(&bins),
-                            tag: round,
-                            deadline: f64::INFINITY,
-                            reply: tx.clone(),
-                        })
-                        .ok()
-                        .unwrap();
-                    submitted += 1;
-                }
-            }
-            drop(tx);
-            let outcomes: Vec<IonOutcome> = rx.iter().collect();
-            assert_eq!(outcomes.len() as u64, submitted);
-            let report = engine.shutdown();
-            assert_eq!(report.leaked_grants, 0);
-            (report.device_virtual_seconds[0], report.gpu_tasks)
-        };
-        let (packed_s, packed_gpu) = run(u64::MAX);
-        let (unpacked_s, unpacked_gpu) = run(0);
-        // Both configurations must actually use the device; the packed
-        // run must model strictly less busy time per device task.
-        assert!(packed_gpu > 0 && unpacked_gpu > 0);
-        assert!(
-            packed_s / (packed_gpu as f64) < unpacked_s / (unpacked_gpu as f64),
-            "packed {packed_s}s/{packed_gpu} vs unpacked {unpacked_s}s/{unpacked_gpu}"
-        );
     }
 
     #[test]
@@ -2324,16 +2014,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_launch_fails_only_its_panicking_member() {
-        // Drive one aggregated launch by hand (no threads, no timing):
-        // three members, the second one's kernel panics. Its
-        // neighbours must answer from the same launch; it alone rides
-        // the ladder back onto the lane.
+    fn lane_launch_retries_a_panicked_kernel_on_its_own_lane() {
+        // Drive one lane by hand (no threads, no timing): the first
+        // kernel panics, the ladder re-stages the task on the lane with
+        // its grant, and launching it again answers the serial bits.
         let mut cfg = small_config(1);
         cfg.resilience = ResilienceConfig {
             faults: vec![gpu_sim::FaultPlan::default().fire_at(
                 gpu_sim::FaultOp::Kernel,
-                1,
+                0,
                 gpu_sim::FaultKind::KernelPanic,
             )],
             ..fast_ladder()
@@ -2346,7 +2035,7 @@ mod tests {
         let staged: StealQueues<StagedTask> = StealQueues::new(1);
         let fault_stats = FaultStats::default();
         let adaptive = Adaptive {
-            knobs: Arc::new(TunerKnobs::new(0, 1, 0, 0, 1)),
+            knobs: Arc::new(TunerKnobs::new(1, 0, 0, 1)),
             cost: Arc::new(CostModel::new()),
             tuner: None,
             completed: AtomicU64::new(0),
@@ -2364,54 +2053,50 @@ mod tests {
         };
         let grid = EnergyGrid::linear(50.0, 2000.0, 32);
         let bins = Arc::new(grid.bin_pairs());
+        let bytes_out = 8 * bins.len() as u64;
+        let ion_index = cfg.db.ions().len() - 1;
         let (tx, rx) = channel();
-        let pack: Vec<StagedTask> = (0..3usize)
-            .map(|ion_index| StagedTask {
-                job: IonJob {
-                    ion_index,
-                    level_range: 0..cfg.db.levels_by_index(ion_index).len(),
-                    point: point(),
-                    grid: grid.clone(),
-                    bins: Arc::clone(&bins),
-                    tag: 0,
-                    deadline: f64::INFINITY,
-                    reply: tx.clone(),
-                },
-                ticket: Ticket(None),
-                grant: scheduler.alloc_cost(10).expect("a free slot"),
-                attempts: 0,
-                key: CostKey::bucketed(1, 1, 32),
-                static_cost: 10,
-                staged_virtual_s: 0.0,
-            })
-            .collect();
-        drop(tx);
-        lane.aggregated_launch(pack);
+        let task = StagedTask {
+            job: IonJob {
+                ion_index,
+                level_range: 0..cfg.db.levels_by_index(ion_index).len(),
+                point: point(),
+                grid: grid.clone(),
+                bins: Arc::clone(&bins),
+                tag: 0,
+                deadline: f64::INFINITY,
+                reply: tx,
+            },
+            ticket: Ticket(None),
+            grant: scheduler.alloc_cost(10).expect("a free slot"),
+            attempts: 0,
+            key: CostKey::bucketed(1, 1, 32),
+            static_cost: 10,
+            staged_virtual_s: 0.0,
+        };
+        lane.launch(task, bytes_out);
 
-        let mut answered: Vec<usize> = rx.try_iter().map(|o| o.ion_index).collect();
-        answered.sort_unstable();
-        assert_eq!(
-            answered,
-            vec![0, 2],
-            "the panicking member alone is unanswered"
+        assert!(
+            rx.try_recv().is_err(),
+            "the panicked launch answers nothing"
         );
-        assert_eq!(devices[0].faults().counters().kernel_panics, 1);
-        assert_eq!(
-            devices[0].tasks_panicked(),
-            0,
-            "caught at the member boundary"
-        );
+        assert_eq!(devices[0].tasks_panicked(), 1);
         assert_eq!(fault_stats.task_faults.load(Ordering::Relaxed), 1);
-        assert_eq!(fault_stats.gpu_completions.load(Ordering::Relaxed), 2);
-        // The failed member is back on the lane with its grant — the
-        // only grant still out.
-        assert_eq!(scheduler.in_flight(), 1);
-        match staged.next(0, false) {
-            Next::Local(t) => {
-                assert_eq!((t.item.job.ion_index, t.item.attempts), (1, 1));
-                scheduler.free(t.item.grant);
-            }
-            _ => panic!("expected the retried member back on the lane"),
+        assert_eq!(scheduler.in_flight(), 1, "only the retried grant is out");
+        let Next::Local(retry) = staged.next(0, false) else {
+            panic!("expected the task back on its own lane");
+        };
+        assert_eq!(retry.item.attempts, 1);
+
+        lane.launch(retry.item, bytes_out);
+        let outcome = rx.try_recv().expect("the retry answers");
+        assert_eq!(outcome.path, ExecPath::Gpu(0));
+        let serial =
+            SerialCalculator::new((*cfg.db).clone(), grid, Integrator::Simpson { panels: 64 });
+        let reference = serial.ion_spectrum(ion_index, &point());
+        assert!(outcome.partial.iter().any(|&v| v > 0.0));
+        for (bin, (&got, &want)) in outcome.partial.iter().zip(reference.bins()).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "bin {bin}: lane vs serial");
         }
         assert_eq!(scheduler.in_flight(), 0);
     }

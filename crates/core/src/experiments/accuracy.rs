@@ -95,9 +95,7 @@ pub fn run(cfg: AccuracyConfig) -> AccuracyReport {
         // the error scale the paper's Fig. 8 shows (1e-5..1e-4 relative).
         gpu_precision: Precision::Single,
         cpu_integrator: Integrator::paper_cpu(),
-        fused: true,
         math: quadrature::MathMode::Exact,
-        pack_threshold: 0,
         resilience: crate::resilience::ResilienceConfig::default(),
         tuning: hybrid_sched::TuningConfig::default(),
     };

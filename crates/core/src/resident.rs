@@ -17,8 +17,8 @@
 //! ## State lifecycle
 //!
 //! - **Cold** → [`ResidentSpectrum::compute`] fans every ion out
-//!   through the engine (cost-aware placement, packing, stealing, and
-//!   the resilience ladder all apply), then *installs* the partials:
+//!   through the engine (cost-aware placement, stealing and the
+//!   resilience ladder all apply), then *installs* the partials:
 //!   each GPU-computed partial gets a [`DevicePtr`] allocation on its
 //!   home device, modeling the partial staying on-board; CPU-path
 //!   partials stay host-side with no device allocation.
@@ -546,12 +546,9 @@ impl Drop for ResidentSpectrum<'_> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::resilience::ResilienceConfig;
     use atomdb::AtomDatabase;
-    use gpu_sim::{DeviceRule, Precision};
     use hybrid_sched::SchedPolicy;
-    use quadrature::MathMode;
-    use rrc_spectral::{emissivity_into_mode, Integrator};
+    use rrc_spectral::emissivity_into_mode;
 
     fn small_config(gpus: usize, policy: SchedPolicy) -> EngineConfig {
         let db = AtomDatabase::generate(atomdb::DatabaseConfig {
@@ -559,22 +556,11 @@ mod tests {
             ..atomdb::DatabaseConfig::default()
         });
         EngineConfig {
-            db: Arc::new(db),
-            workers: 3,
             gpus,
             max_queue_len: 4,
             policy,
-            gpu_rule: DeviceRule::Simpson { panels: 64 },
-            gpu_precision: Precision::Double,
-            cpu_integrator: Integrator::Simpson { panels: 64 },
-            fused: true,
             queue_depth: 8,
-            deterministic_kernel: true,
-            math: MathMode::Exact,
-            pack_threshold: 0,
-            pack_max: 8,
-            resilience: ResilienceConfig::default(),
-            tuning: hybrid_sched::TuningConfig::default(),
+            ..EngineConfig::deterministic(Arc::new(db), 3)
         }
     }
 

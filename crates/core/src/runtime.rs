@@ -58,24 +58,12 @@ pub struct HybridConfig {
     pub gpu_precision: Precision,
     /// CPU fallback integrator (paper: QAGS).
     pub cpu_integrator: Integrator,
-    /// Route device tasks through the fused hot path
-    /// ([`gpu_sim::FusedBinKernel`] over prepared integrands, shared
-    /// bin edges evaluated once, bin grids sampled with the
-    /// exponential recurrence). `false` keeps the seed's per-bin
-    /// [`gpu_sim::BinIntegrationKernel`] for A/B comparison; f64
-    /// results agree to within the fused pipeline's `1e-13`-relative
-    /// budget.
-    pub fused: bool,
     /// Math mode for the fused kernels and CPU fallback:
     /// [`MathMode::Exact`] (default) keeps the seed's scalar arithmetic
     /// bitwise; [`MathMode::Vector`] routes exponentials and the f64
     /// accumulations through the lane-parallel [`quadrature::simd`]
     /// layer (max relative deviation ≤ 1e-12).
     pub math: MathMode,
-    /// Pack staged device tasks with estimated cost strictly below this
-    /// many work units into one aggregated launch (`0` disables; see
-    /// [`crate::engine::EngineConfig::pack_threshold`]).
-    pub pack_threshold: u64,
     /// Fault injection, retry/backoff and device-health configuration
     /// (see [`crate::resilience::ResilienceConfig`]; the default is
     /// fault-free).
@@ -110,9 +98,7 @@ impl HybridConfig {
             gpu_rule: DeviceRule::Simpson { panels: 64 },
             gpu_precision: Precision::Double,
             cpu_integrator: Integrator::paper_cpu(),
-            fused: true,
             math: MathMode::Exact,
-            pack_threshold: 0,
             resilience: ResilienceConfig::default(),
             tuning: hybrid_sched::TuningConfig::default(),
         }
@@ -362,25 +348,6 @@ mod tests {
                 assert!(report.device_peak_memory[d] >= 32 * 8, "device {d}");
             }
         }
-    }
-
-    #[test]
-    fn fused_and_per_bin_kernels_agree() {
-        // The tentpole A/B: routing through FusedBinKernel + prepared
-        // integrands must reproduce the seed per-bin kernel's physics.
-        let mut fused_cfg = HybridConfig::small(6, 48, 2);
-        fused_cfg.cpu_integrator = Integrator::Simpson { panels: 64 };
-        fused_cfg.fused = true;
-        let mut seed_cfg = fused_cfg.clone();
-        seed_cfg.fused = false;
-        let a = HybridRunner::new(fused_cfg).run();
-        let b = HybridRunner::new(seed_cfg).run();
-        for (sa, sb) in a.spectra.iter().zip(&b.spectra) {
-            for (x, y) in sa.bins().iter().zip(sb.bins()) {
-                assert!((x - y).abs() <= 1e-12 * y.abs().max(1e-300), "{x} vs {y}");
-            }
-        }
-        assert_eq!(a.gpu_tasks + a.cpu_tasks, b.gpu_tasks + b.cpu_tasks);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! A [`RunSpec`] is the JSON-friendly description of a hybrid run: it
 //! owns no atomic database or device handles, just the knobs. The
 //! `hspec` CLI and batch scripts deserialize one and call
-//! [`RunSpec::into_config`]. Unknown keys are ignored; the retired
-//! `"async_window"` is refused by name, so an old spec file cannot
-//! silently change what it runs.
+//! [`RunSpec::into_config`]. A key the dialect does not read — a typo,
+//! or one a later version retired — is refused, so a spec file cannot
+//! silently run with defaults in its place.
 
 use std::sync::Arc;
 
@@ -77,26 +77,39 @@ pub struct RunSpec {
     pub rule: RuleSpec,
     /// `"single"` or `"double"` kernel arithmetic.
     pub precision: String,
-    /// Use the fused prepared-integrand hot path (default). `false`
-    /// selects the legacy per-bin path for A/B comparison.
-    pub fused: bool,
     /// `"exact"` (seed-bitwise scalar math, default) or `"vector"`
     /// (lane-parallel SIMD exp + accumulation).
     pub math: String,
-    /// Pack device tasks cheaper than this many cost units into one
-    /// aggregated launch (`0` disables aggregation).
-    pub pack_threshold: u64,
-    /// Run the resident online autotuner (continuous retuning of pack
-    /// threshold and rank pool against live epochs).
+    /// Run the resident online autotuner (continuous retuning of the
+    /// rank pool against live epochs).
     pub tune: bool,
     /// Completed tasks per tuner decision epoch.
     pub tune_epoch: u64,
     /// Non-improving probes of one candidate before the tuner abandons
     /// a direction.
     pub tuner_patience: u32,
-    /// Tuner probe step for cost-unit-valued knobs.
-    pub tuner_step: u64,
 }
+
+/// The keys [`RunSpec::from_json`] reads, besides the rule's own
+/// parameter (`panels`, `k` or `order`).
+const SPEC_KEYS: [&str; 16] = [
+    "max_z",
+    "bins",
+    "band_ev",
+    "temperatures_k",
+    "densities_cm3",
+    "ranks",
+    "gpus",
+    "max_queue_len",
+    "granularity",
+    "policy",
+    "rule",
+    "precision",
+    "math",
+    "tune",
+    "tune_epoch",
+    "tuner_patience",
+];
 
 impl Default for RunSpec {
     fn default() -> Self {
@@ -119,13 +132,10 @@ impl Default for RunSpec {
             policy: "cost-aware".to_string(),
             rule: RuleSpec::Simpson { panels: 64 },
             precision: "double".to_string(),
-            fused: true,
             math: "exact".to_string(),
-            pack_threshold: 0,
             tune: tuning.enabled,
             tune_epoch: tuning.epoch_tasks,
             tuner_patience: tuning.patience,
-            tuner_step: tuning.step,
         }
     }
 }
@@ -136,8 +146,8 @@ impl RunSpec {
     /// into the top-level object (`"rule": "simpson", "panels": 64`).
     ///
     /// # Errors
-    /// Returns a descriptive message on malformed input or unknown
-    /// rule/field values.
+    /// Returns a descriptive message on malformed input, unknown
+    /// rule/field values, or a key the dialect does not read.
     pub fn from_json(json: &str) -> Result<RunSpec, String> {
         let doc = jsonlite::Value::parse(json).map_err(|e| e.to_string())?;
         let obj = doc.as_object().ok_or("run spec must be a JSON object")?;
@@ -217,21 +227,8 @@ impl RunSpec {
         if let Some(p) = str_field("precision")? {
             spec.precision = p.to_string();
         }
-        if obj.get("async_window").is_some() {
-            return Err("'async_window' was removed: device lanes are synchronous; \
-                 only `hspec predict --async-window` models it"
-                .into());
-        }
-        if let Some(fused) = obj.get("fused") {
-            spec.fused = fused
-                .as_bool()
-                .ok_or_else(|| "'fused' must be a boolean".to_string())?;
-        }
         if let Some(m) = str_field("math")? {
             spec.math = m.to_string();
-        }
-        if let Some(p) = f64_field("pack_threshold")? {
-            spec.pack_threshold = p as u64;
         }
         if let Some(t) = obj.get("tune") {
             spec.tune = t
@@ -244,9 +241,6 @@ impl RunSpec {
         if let Some(p) = usize_field("tuner_patience")? {
             spec.tuner_patience =
                 u32::try_from(p).map_err(|_| "'tuner_patience' out of range".to_string())?;
-        }
-        if let Some(s) = f64_field("tuner_step")? {
-            spec.tuner_step = s as u64;
         }
 
         // The rule is the one required field: a flattened tagged enum.
@@ -266,6 +260,19 @@ impl RunSpec {
             },
             other => return Err(format!("unknown rule '{other}'")),
         };
+        let rule_param = match spec.rule {
+            RuleSpec::Simpson { .. } => "panels",
+            RuleSpec::Romberg { .. } => "k",
+            RuleSpec::GaussLegendre { .. } => "order",
+        };
+        if let Some(key) = obj
+            .keys()
+            .find(|key| *key != rule_param && !SPEC_KEYS.contains(&key.as_str()))
+        {
+            return Err(format!(
+                "unknown key '{key}': the run spec does not read it"
+            ));
+        }
         Ok(spec)
     }
 
@@ -285,13 +292,10 @@ impl RunSpec {
             .field("granularity", self.granularity.as_str())
             .field("policy", self.policy.as_str())
             .field("precision", self.precision.as_str())
-            .field("fused", self.fused)
             .field("math", self.math.as_str())
-            .field("pack_threshold", self.pack_threshold as f64)
             .field("tune", self.tune)
             .field("tune_epoch", self.tune_epoch as f64)
-            .field("tuner_patience", self.tuner_patience as usize)
-            .field("tuner_step", self.tuner_step as f64);
+            .field("tuner_patience", self.tuner_patience as usize);
         b = match self.rule {
             RuleSpec::Simpson { panels } => b.field("rule", "simpson").field("panels", panels),
             RuleSpec::Romberg { k } => b.field("rule", "romberg").field("k", k),
@@ -355,15 +359,12 @@ impl RunSpec {
             gpu_rule: self.rule.into(),
             gpu_precision: precision,
             cpu_integrator: Integrator::paper_cpu(),
-            fused: self.fused,
             math,
-            pack_threshold: self.pack_threshold,
             resilience: crate::resilience::ResilienceConfig::default(),
             tuning: hybrid_sched::TuningConfig {
                 enabled: self.tune,
                 epoch_tasks: self.tune_epoch.max(1),
                 patience: self.tuner_patience.max(1),
-                step: self.tuner_step.max(1),
             },
         })
     }
@@ -433,11 +434,23 @@ mod tests {
         spec.math = "vector".into();
         spec.temperatures_k.clear();
         assert!(spec.into_config().is_err());
-        // A retired key is refused, not silently dropped.
-        let retired = r#"{"rule": "simpson", "panels": 32, "async_window": 8}"#;
-        assert!(RunSpec::from_json(retired)
-            .unwrap_err()
-            .contains("'async_window' was removed"));
+    }
+
+    #[test]
+    fn keys_the_spec_does_not_read_are_refused_by_name() {
+        // Retired keys and typos alike: refused, never silently dropped.
+        for (key, value) in [
+            ("fused", "false"),
+            ("pack_threshold", "24"),
+            ("tuner_step", "8"),
+            ("async_window", "8"),
+            ("gpu", "4"),
+            ("k", "3"), // another rule's parameter
+        ] {
+            let json = format!(r#"{{"rule": "simpson", "panels": 32, "{key}": {value}}}"#);
+            let err = RunSpec::from_json(&json).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{key}: {err}");
+        }
     }
 
     #[test]
@@ -454,13 +467,10 @@ mod tests {
         ] {
             let spec = RunSpec {
                 rule,
-                fused: false,
                 math: "vector".to_string(),
-                pack_threshold: 40,
                 tune: true,
                 tune_epoch: 32,
                 tuner_patience: 3,
-                tuner_step: 16,
                 ..RunSpec::default()
             };
             assert_eq!(spec, RunSpec::from_json(&spec.to_json()).unwrap());
@@ -476,7 +486,6 @@ mod tests {
         assert_eq!(d.tune, shared.enabled);
         assert_eq!(d.tune_epoch, shared.epoch_tasks);
         assert_eq!(d.tuner_patience, shared.patience);
-        assert_eq!(d.tuner_step, shared.step);
 
         let json = r#"{
             "max_z": 4,
@@ -484,7 +493,6 @@ mod tests {
             "tune": true,
             "tune_epoch": 16,
             "tuner_patience": 4,
-            "tuner_step": 2,
             "rule": "simpson",
             "panels": 32
         }"#;
@@ -492,21 +500,18 @@ mod tests {
         assert!(cfg.tuning.enabled);
         assert_eq!(cfg.tuning.epoch_tasks, 16);
         assert_eq!(cfg.tuning.patience, 4);
-        assert_eq!(cfg.tuning.step, 2);
     }
 
     #[test]
-    fn math_and_pack_fields_materialize() {
+    fn math_field_materializes() {
         let json = r#"{
             "max_z": 4,
             "bins": 16,
             "math": "vector",
-            "pack_threshold": 25,
             "rule": "simpson",
             "panels": 32
         }"#;
         let cfg = RunSpec::from_json(json).unwrap().into_config().unwrap();
         assert_eq!(cfg.math, quadrature::MathMode::Vector);
-        assert_eq!(cfg.pack_threshold, 25);
     }
 }

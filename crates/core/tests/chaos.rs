@@ -13,12 +13,11 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gpu_sim::{DeviceRule, FaultKind, FaultOp, FaultPlan, Precision};
+use gpu_sim::{FaultKind, FaultOp, FaultPlan};
 use hybrid_sched::{HealthConfig, HealthState};
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use hybrid_spectral::resilience::ResilienceConfig;
 use hybrid_spectral::SchedPolicy;
-use quadrature::MathMode;
 use rrc_spectral::{EnergyGrid, GridPoint, Integrator, SerialCalculator};
 
 fn point() -> GridPoint {
@@ -36,22 +35,11 @@ fn chaos_config(gpus: usize, resilience: ResilienceConfig) -> EngineConfig {
         ..atomdb::DatabaseConfig::default()
     });
     EngineConfig {
-        db: Arc::new(db),
-        workers: 3,
         gpus,
         max_queue_len: 4,
-        policy: SchedPolicy::CostAware,
-        gpu_rule: DeviceRule::Simpson { panels: 64 },
-        gpu_precision: Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
         queue_depth: 8,
-        deterministic_kernel: true,
-        math: MathMode::Exact,
-        pack_threshold: 0,
-        pack_max: 8,
         resilience,
-        tuning: hybrid_sched::TuningConfig::default(),
+        ..EngineConfig::deterministic(Arc::new(db), 3)
     }
 }
 

@@ -41,7 +41,6 @@ use std::time::{Duration, Instant};
 
 use atomdb::AtomDatabase;
 use desim::{Priority, VirtualClock};
-use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::{BreakerConfig, BreakerState, CircuitBreaker};
 use hybrid_spectral::engine::{EngineConfig, EngineReport};
 use hybrid_spectral::ion_task_cost;
@@ -50,7 +49,7 @@ use rrc_service::{
     assemble, selected_ions, CacheKey, Quantizer, ServiceError, SpectrumRequest, SpectrumResponse,
     StateKey,
 };
-use rrc_spectral::{EnergyGrid, GridPoint, Integrator};
+use rrc_spectral::{EnergyGrid, GridPoint};
 
 use crate::locality::{
     preferred_replica, CachedRoute, HotTracker, Join, RouteCache, RouteKey, SingleFlight,
@@ -156,26 +155,8 @@ impl RouterConfig {
     /// [`rrc_service::ServiceConfig::deterministic`]).
     #[must_use]
     pub fn deterministic(db: Arc<AtomDatabase>, grids: Vec<EnergyGrid>) -> RouterConfig {
-        let workers = 2;
         RouterConfig {
-            engine: EngineConfig {
-                db,
-                workers,
-                gpus: 2,
-                max_queue_len: 6,
-                policy: hybrid_sched::SchedPolicy::CostAware,
-                gpu_rule: DeviceRule::Simpson { panels: 64 },
-                gpu_precision: Precision::Double,
-                cpu_integrator: Integrator::Simpson { panels: 64 },
-                fused: true,
-                queue_depth: 2 * workers,
-                deterministic_kernel: true,
-                math: quadrature::MathMode::Exact,
-                pack_threshold: 0,
-                pack_max: 8,
-                resilience: hybrid_spectral::ResilienceConfig::default(),
-                tuning: hybrid_sched::TuningConfig::default(),
-            },
+            engine: EngineConfig::deterministic(db, 2),
             grids,
             shards: 2,
             replicas: 1,

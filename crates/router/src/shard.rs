@@ -7,13 +7,11 @@
 //! floating-point addition is non-associative, so the fold must happen
 //! in exactly one place — the router, via [`rrc_service::assemble`] in
 //! ascending ion order — for the sharded answer to be bitwise
-//! identical to the single-engine one. The worker's fan-out mirrors
-//! the service batcher's: submit one [`IonJob`] per cache-missing ion,
-//! collect outcomes, re-fan unanswered ions up to the retry budget,
-//! and report whatever is still missing as `failed` so the router can
+//! identical to the single-engine one. The worker fills its cache
+//! misses with the service batcher's own [`rrc_service::fill_misses`]
+//! and reports whatever is still missing as `failed` so the router can
 //! re-route those ions to a sibling replica.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +19,7 @@ use std::time::Instant;
 use desim::Priority;
 use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob};
 use mpi_sim::Lane;
-use rrc_service::{CacheKey, ServiceMetrics, ShardedLruCache, StateKey};
+use rrc_service::{fill_misses, CacheKey, ServiceMetrics, ShardedLruCache, StateKey};
 use rrc_spectral::{EnergyGrid, GridPoint};
 
 /// One envelope on a replica's lane: either a query for per-ion
@@ -133,10 +131,9 @@ impl ReplicaCtx {
         }
     }
 
-    /// Serve one query: cache lookups, engine fan-out with re-fan
-    /// retries, cache fills. Mirrors the service batcher's group path
-    /// so a shard's partial bits match the single-engine service's
-    /// exactly (deterministic kernel assumed).
+    /// Serve one query: cache lookups, then the service batcher's miss
+    /// path, so a shard's partial bits match the single-engine
+    /// service's exactly (deterministic kernel assumed).
     fn handle_query(
         &self,
         key: StateKey,
@@ -164,12 +161,16 @@ impl ReplicaCtx {
         }
         let from_cache = partials.len() as u64;
 
-        let mut answered: BTreeMap<usize, Arc<Vec<f64>>> = BTreeMap::new();
-        let mut refanouts = 0u32;
-        while !pending.is_empty() {
-            // An engine closing underneath us (shutdown race) answers
-            // short: whatever is still pending becomes `failed`.
-            let fanned = self.engine.fan_out(&pending, |&ion, reply| IonJob {
+        // An engine closing underneath us (shutdown race) answers
+        // short: whatever is still pending becomes `failed`.
+        let (answered, _closed) = fill_misses(
+            &self.engine,
+            &self.cache,
+            &self.metrics,
+            self.fanout_retries,
+            key,
+            &mut pending,
+            |ion, reply| IonJob {
                 ion_index: ion,
                 level_range: 0..db.levels_by_index(ion).len(),
                 point: *point,
@@ -178,25 +179,8 @@ impl ReplicaCtx {
                 tag: ion as u64,
                 deadline,
                 reply,
-            });
-            for outcome in fanned.outcomes {
-                let value = Arc::new(outcome.partial);
-                self.cache.insert(
-                    CacheKey {
-                        ion_index: outcome.ion_index,
-                        state: key,
-                    },
-                    Arc::clone(&value),
-                );
-                answered.insert(outcome.ion_index, value);
-            }
-            pending.retain(|ion| !answered.contains_key(ion));
-            if pending.is_empty() || refanouts >= self.fanout_retries {
-                break;
-            }
-            refanouts += 1;
-            self.metrics.on_fanout_retry(pending.len() as u64);
-        }
+            },
+        );
         let computed = answered.len() as u64;
         partials.extend(answered);
 

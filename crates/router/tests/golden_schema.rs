@@ -73,7 +73,7 @@ fn service_metrics(demoted: bool) -> MetricsSnapshot {
                 settled: false,
                 dims: vec![
                     DimSnapshot {
-                        knob: Knob::PackThreshold,
+                        knob: Knob::ActiveRanks,
                         value: 24,
                         last_move: 1,
                     },

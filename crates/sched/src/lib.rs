@@ -69,8 +69,6 @@ pub struct TuningConfig {
     /// controller abandons a direction (the one-shot
     /// [`AutoTuner::with_patience`] budget, shared).
     pub patience: u32,
-    /// Probe step for cost-unit-valued knobs (pack threshold).
-    pub step: u64,
 }
 
 impl Default for TuningConfig {
@@ -79,7 +77,6 @@ impl Default for TuningConfig {
             enabled: false,
             epoch_tasks: 64,
             patience: 2,
-            step: 8,
         }
     }
 }

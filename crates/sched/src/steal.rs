@@ -190,29 +190,6 @@ impl<T> StealQueues<T> {
         }
     }
 
-    /// Non-blocking fetch of `device`'s **own** next-up task (EDF
-    /// order), but only if its cost is strictly under `max_cost` — the
-    /// launch-aggregation probe: a pump that just dequeued a small task
-    /// asks for more small local work to pack into the same launch,
-    /// without ever blocking, stealing, or pulling a heavy task out of
-    /// deadline turn.
-    ///
-    /// # Panics
-    /// Panics if `device` is out of range.
-    pub fn try_next_local_under(&self, device: usize, max_cost: u64) -> Option<Staged<T>> {
-        let (lock, _) = &*self.inner;
-        let mut inner = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let pos = inner.edf_pos(device)?;
-        if inner.queues[device][pos].cost >= max_cost {
-            return None;
-        }
-        let task = inner.queues[device]
-            .remove(pos)
-            .expect("position just scanned");
-        inner.backlog[device] -= task.cost;
-        Some(task)
-    }
-
     /// Non-blocking global steal for the CPU-fallback path: remove and
     /// return the single largest-cost staged task across *all* queues,
     /// provided its cost exceeds `cost_floor` — swapping a queued heavy
@@ -265,23 +242,17 @@ impl<T> StealQueues<T> {
 }
 
 impl<T> Inner<T> {
-    /// Position of `device`'s EDF-next entry (earliest deadline, then
-    /// oldest), or `None` on an empty queue.
-    fn edf_pos(&self, device: usize) -> Option<usize> {
-        let queue = &self.queues[device];
+    /// Remove and return `device`'s EDF-next entry (earliest deadline,
+    /// then oldest), or `None` on an empty queue.
+    fn pop_edf(&mut self, device: usize) -> Option<Staged<T>> {
+        let queue = &mut self.queues[device];
         let mut best: Option<usize> = None;
         for (p, task) in queue.iter().enumerate() {
             if best.is_none_or(|b| edf_less(task.edf_key(), queue[b].edf_key())) {
                 best = Some(p);
             }
         }
-        best
-    }
-
-    /// Remove and return `device`'s EDF-next entry.
-    fn pop_edf(&mut self, device: usize) -> Option<Staged<T>> {
-        let pos = self.edf_pos(device)?;
-        self.queues[device].remove(pos)
+        queue.remove(best?)
     }
 
     /// Take the largest-cost task (oldest wins ties) from the
@@ -472,41 +443,6 @@ mod tests {
         assert_eq!(victim, 1);
         assert_eq!(task.cost, 40);
         assert_eq!(q.staged_len(), 1);
-    }
-
-    #[test]
-    fn try_next_local_under_pops_only_small_fifo_heads() {
-        let q: StealQueues<u32> = StealQueues::new(2);
-        assert!(q.try_next_local_under(0, 100).is_none(), "empty queue");
-        q.stage(0, 10, 1);
-        q.stage(0, 3, 2);
-        q.stage(1, 1, 9);
-        // Head costs 10: not under 10 (strict), under 11.
-        assert!(q.try_next_local_under(0, 10).is_none());
-        let t = q.try_next_local_under(0, 11).expect("10 < 11");
-        assert_eq!((t.cost, t.item), (10, 1));
-        let t = q.try_next_local_under(0, 11).expect("3 < 11");
-        assert_eq!((t.cost, t.item), (3, 2));
-        // Never touches another device's queue.
-        assert!(q.try_next_local_under(0, u64::MAX).is_none());
-        assert_eq!(q.staged_len(), 1);
-    }
-
-    #[test]
-    fn try_next_local_under_keeps_backlog_consistent() {
-        let q: StealQueues<u32> = StealQueues::new(2);
-        q.stage(0, 5, 1);
-        q.stage(1, 50, 2);
-        let _ = q.try_next_local_under(0, 6).expect("5 < 6");
-        // Backlog for queue 0 must be back to zero: a steal from queue 1
-        // (the only non-empty one) still works and sees clean counts.
-        match q.next(0, true) {
-            Next::Stolen { victim, task } => {
-                assert_eq!(victim, 1);
-                assert_eq!(task.cost, 50);
-            }
-            other => panic!("expected steal, got {other:?}"),
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! runs it continuously against live decision epochs:
 //!
 //! * all tunable knobs live in one [`TunerKnobs`] block of atomics the
-//!   runtime reads on its hot paths (pack threshold, async window,
-//!   quantizer drop bits, service batch size, active rank count);
+//!   runtime reads on its hot paths (async window, quantizer drop
+//!   bits, service batch size, active rank count);
 //! * each registered [`TunerDim`] is probed **one at a time** — the
 //!   controller nudges the knob one step, watches the next epoch's
 //!   signal (lower = better), and commits the move only if it improves
@@ -34,8 +34,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Identity of one tunable runtime knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Knob {
-    /// Engine launch-aggregation threshold (cost units).
-    PackThreshold,
     /// Engine per-device in-flight submission window.
     AsyncWindow,
     /// Service quantizer mantissa bits dropped.
@@ -51,7 +49,6 @@ impl Knob {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            Knob::PackThreshold => "pack_threshold",
             Knob::AsyncWindow => "async_window",
             Knob::DropBits => "drop_bits",
             Knob::MaxBatch => "max_batch",
@@ -66,7 +63,6 @@ impl Knob {
 /// placement/batching-only.
 #[derive(Debug)]
 pub struct TunerKnobs {
-    pack_threshold: AtomicU64,
     async_window: AtomicU64,
     drop_bits: AtomicU64,
     max_batch: AtomicU64,
@@ -76,15 +72,8 @@ pub struct TunerKnobs {
 impl TunerKnobs {
     /// Seed the block with the configured (frozen) values.
     #[must_use]
-    pub fn new(
-        pack_threshold: u64,
-        async_window: u64,
-        drop_bits: u64,
-        max_batch: u64,
-        active_ranks: u64,
-    ) -> TunerKnobs {
+    pub fn new(async_window: u64, drop_bits: u64, max_batch: u64, active_ranks: u64) -> TunerKnobs {
         TunerKnobs {
-            pack_threshold: AtomicU64::new(pack_threshold),
             async_window: AtomicU64::new(async_window),
             drop_bits: AtomicU64::new(drop_bits),
             max_batch: AtomicU64::new(max_batch),
@@ -94,7 +83,6 @@ impl TunerKnobs {
 
     fn cell(&self, knob: Knob) -> &AtomicU64 {
         match knob {
-            Knob::PackThreshold => &self.pack_threshold,
             Knob::AsyncWindow => &self.async_window,
             Knob::DropBits => &self.drop_bits,
             Knob::MaxBatch => &self.max_batch,
@@ -111,12 +99,6 @@ impl TunerKnobs {
     /// Set `knob` to `value`.
     pub fn set(&self, knob: Knob, value: u64) {
         self.cell(knob).store(value, Ordering::Relaxed);
-    }
-
-    /// Engine pack threshold (cost units; 0 disables aggregation).
-    #[must_use]
-    pub fn pack_threshold(&self) -> u64 {
-        self.get(Knob::PackThreshold)
     }
 
     /// Engine per-device async submission window.
@@ -442,7 +424,7 @@ mod tests {
     use super::*;
 
     fn knobs() -> Arc<TunerKnobs> {
-        Arc::new(TunerKnobs::new(0, 1, 0, 16, 4))
+        Arc::new(TunerKnobs::new(1, 0, 16, 4))
     }
 
     /// A convex single-dimension plant: signal is minimized at
@@ -483,23 +465,23 @@ mod tests {
             step: 4,
         });
         tuner.add_dim(TunerDim {
-            knob: Knob::PackThreshold,
+            knob: Knob::DropBits,
             min: 0,
             max: 64,
             step: 8,
         });
-        let signal = |k: &TunerKnobs| plant(k.max_batch(), 24) + plant(k.pack_threshold(), 16);
+        let signal = |k: &TunerKnobs| plant(k.max_batch(), 24) + plant(k.drop_bits(), 16);
         for _ in 0..256 {
             tuner.observe_epoch(signal(&k));
         }
         assert!(tuner.settled(), "must converge on a stationary workload");
-        let frozen = (k.max_batch(), k.pack_threshold());
+        let frozen = (k.max_batch(), k.drop_bits());
         // ≥ 10 quiet epochs: no oscillation, no knob movement at all.
         for epoch in 0..12 {
             tuner.observe_epoch(signal(&k));
             assert!(tuner.settled(), "woke up on a stationary signal");
             assert_eq!(
-                (k.max_batch(), k.pack_threshold()),
+                (k.max_batch(), k.drop_bits()),
                 frozen,
                 "knob moved in quiet epoch {epoch}"
             );

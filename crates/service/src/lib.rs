@@ -42,7 +42,9 @@ pub use cache::{CacheKey, CacheStats, ShardedLruCache};
 pub use metrics::{health_label, MetricsSnapshot, ServiceMetrics, StageLatency};
 pub use pqueue::PriorityQueues;
 pub use quantize::{Quantizer, StateKey};
-pub use service::{assemble, selected_ions, ServiceConfig, ServiceReport, SpectralService};
+pub use service::{
+    assemble, fill_misses, selected_ions, ServiceConfig, ServiceReport, SpectralService,
+};
 pub use traffic::{
     cycling_requests, poisson_arrivals, run_closed_loop, run_open_loop, TrafficReport,
 };

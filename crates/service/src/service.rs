@@ -22,11 +22,10 @@ use std::time::Instant;
 
 use atomdb::AtomDatabase;
 use desim::{Priority, VirtualClock};
-use gpu_sim::{DeviceRule, Precision};
 use hybrid_sched::{Knob, SchedulerSnapshot, TunerDim};
-use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob};
+use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
 use mpi_sim::TryPushError;
-use rrc_spectral::{EnergyGrid, Integrator};
+use rrc_spectral::EnergyGrid;
 
 use crate::api::{AdmissionPolicy, ServiceError, SpectrumRequest, SpectrumResponse, Ticket};
 use crate::cache::{CacheKey, CacheStats, ShardedLruCache};
@@ -101,26 +100,8 @@ impl ServiceConfig {
     /// ion partial was computed.
     #[must_use]
     pub fn deterministic(db: Arc<AtomDatabase>, grids: Vec<EnergyGrid>) -> ServiceConfig {
-        let workers = 4;
         ServiceConfig {
-            engine: EngineConfig {
-                db,
-                workers,
-                gpus: 2,
-                max_queue_len: 6,
-                policy: hybrid_sched::SchedPolicy::CostAware,
-                gpu_rule: DeviceRule::Simpson { panels: 64 },
-                gpu_precision: Precision::Double,
-                cpu_integrator: Integrator::Simpson { panels: 64 },
-                fused: true,
-                queue_depth: 2 * workers,
-                deterministic_kernel: true,
-                math: quadrature::MathMode::Exact,
-                pack_threshold: 0,
-                pack_max: 8,
-                resilience: hybrid_spectral::ResilienceConfig::default(),
-                tuning: hybrid_sched::TuningConfig::default(),
-            },
+            engine: EngineConfig::deterministic(db, 4),
             grids,
             cache_capacity: 4096,
             cache_shards: 8,
@@ -485,6 +466,55 @@ pub fn assemble(
     out
 }
 
+/// Compute the cache-missing `pending` ions of state `key` on `engine`
+/// and cache each answer under `(ion, key)` — the miss path the service
+/// batcher and every shard replica share. `job` builds one ion's
+/// [`IonJob`] around its reply sender. Under the engine's recovery
+/// ladder every job normally answers (retry → reassign → CPU
+/// fallback), but with CPU fallback disabled a job that exhausts its
+/// device retries is dropped without a reply: the unanswered ions are
+/// fanned out again up to `retries` times, each re-fan counted with
+/// [`ServiceMetrics::on_fanout_retry`].
+///
+/// Returns the answered partials (the `Arc`s now cached) and whether
+/// the engine refused a submission because it is shutting down;
+/// `pending` is left holding the ions that never answered.
+pub fn fill_misses(
+    engine: &Engine,
+    cache: &ShardedLruCache,
+    metrics: &ServiceMetrics,
+    retries: u32,
+    key: StateKey,
+    pending: &mut Vec<usize>,
+    job: impl Fn(usize, Sender<IonOutcome>) -> IonJob,
+) -> (BTreeMap<usize, Arc<Vec<f64>>>, bool) {
+    let mut answered = BTreeMap::new();
+    let mut closed = false;
+    let mut refanouts = 0u32;
+    while !pending.is_empty() {
+        let fanned = engine.fan_out(pending.iter().copied(), &job);
+        closed |= fanned.closed;
+        for outcome in fanned.outcomes {
+            let value = Arc::new(outcome.partial);
+            cache.insert(
+                CacheKey {
+                    ion_index: outcome.ion_index,
+                    state: key,
+                },
+                Arc::clone(&value),
+            );
+            answered.insert(outcome.ion_index, value);
+        }
+        pending.retain(|ion| !answered.contains_key(ion));
+        if pending.is_empty() || refanouts >= retries {
+            break;
+        }
+        refanouts += 1;
+        metrics.on_fanout_retry(pending.len() as u64);
+    }
+    (answered, closed)
+}
+
 /// Try to answer a cache miss for `ion` at bucket `key` from a cached
 /// **neighbor** bucket: scan the surrounding rings nearest-first, and
 /// for each cached candidate classify the delta between the neighbor's
@@ -673,15 +703,16 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
             }
         }
 
-        // Fan the cache-missing ions out to the engine. Under the
-        // engine's recovery ladder every job normally answers (retry →
-        // reassign → CPU fallback), but with CPU fallback disabled a
-        // job that exhausts its device retries is dropped without a
-        // reply; re-fan the unanswered ions out up to `fanout_retries`
-        // times before refusing the affected requests.
-        let mut refanouts = 0u32;
-        while !pending.is_empty() {
-            let fanned = shared.engine.fan_out(&pending, |&ion, reply| IonJob {
+        // Requests touching an ion the engine never answered are
+        // refused.
+        let (answered, closed) = fill_misses(
+            &shared.engine,
+            &shared.cache,
+            &shared.metrics,
+            shared.fanout_retries,
+            key,
+            &mut pending,
+            |ion, reply| IonJob {
                 ion_index: ion,
                 level_range: 0..db.levels_by_index(ion).len(),
                 point,
@@ -690,26 +721,10 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
                 tag: ion as u64,
                 deadline: group_deadline,
                 reply,
-            });
-            assert!(!fanned.closed, "engine outlives the batcher");
-            for outcome in fanned.outcomes {
-                let value = Arc::new(outcome.partial);
-                shared.cache.insert(
-                    CacheKey {
-                        ion_index: outcome.ion_index,
-                        state: key,
-                    },
-                    Arc::clone(&value),
-                );
-                partials.insert(outcome.ion_index, value);
-            }
-            pending.retain(|ion| !partials.contains_key(ion));
-            if pending.is_empty() || refanouts >= shared.fanout_retries {
-                break;
-            }
-            refanouts += 1;
-            shared.metrics.on_fanout_retry(pending.len() as u64);
-        }
+            },
+        );
+        assert!(!closed, "engine outlives the batcher");
+        partials.extend(answered);
         let failed: BTreeSet<usize> = pending.into_iter().collect();
 
         for (&i, ions) in members.iter().zip(&member_ions) {

@@ -45,9 +45,7 @@ fn main() {
         gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::paper_cpu(),
-        fused: true,
         math: hybridspec::quadrature::MathMode::Exact,
-        pack_threshold: 0,
         resilience: hybridspec::hybrid::ResilienceConfig::default(),
         tuning: hybridspec::sched::TuningConfig::default(),
     };

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Arguments are `--key value` pairs parsed by a small hand-rolled
-//! parser (no CLI dependency); every subcommand prints a short report
-//! to stdout and data files as TSV.
+//! parser (no CLI dependency); a subcommand refuses any flag it does not
+//! read before it runs. Every subcommand prints a short report to stdout
+//! and data files as TSV.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -71,8 +72,7 @@ USAGE:
   hspec spectrum [--temp K] [--density CM3] [--bins N] [--max-z Z]
                  [--ranks N] [--gpus N] [--qlen N] [--lines true]
                  [--policy cost-aware|paper-count] [--math exact|vector]
-                 [--pack-threshold COST] [--out FILE.tsv]
-                 [--tune] [--no-tune] [--tune-epoch N]
+                 [--out FILE.tsv] [--tune] [--no-tune] [--tune-epoch N]
                  [--faults seed=N,launch=P,panic=P,dma=P,stall=P:MS,lose=DEV@OP]
   hspec predict  [--gpus N] [--qlen N] [--granularity ion|level]
                  [--romberg-k K] [--async-window N]
@@ -84,6 +84,8 @@ USAGE:
                  [--bins N] [--gpus N] [--cache N] [--rebalance true|false]
                  [--affinity] [--no-affinity] [--router-cache N] [--hot-k K]
                  [--tune] [--no-tune] [--tune-epoch N] [--snapshot FILE.json]
+                 [--deadline-ms MS] [--priority interactive|bulk]
+                 [--hedge-quantile Q]
   hspec remnant  [--age-yr YR] [--ambient CM3] [--shells N]
   hspec run      --spec FILE.json [--out FILE.tsv]
 "
@@ -117,6 +119,22 @@ impl Args {
             map.insert(name.to_string(), value.clone());
         }
         Ok(Args { map })
+    }
+
+    /// Refuse any flag outside `known` (whitespace-separated), the
+    /// flags `command` reads, so a typo or a retired flag fails instead
+    /// of running with the default in its place.
+    fn refuse_unknown(&self, command: &str, known: &str) -> Result<(), String> {
+        let known: Vec<&str> = known.split_whitespace().collect();
+        match self
+            .map
+            .keys()
+            .filter(|k| !known.contains(&k.as_str()))
+            .min()
+        {
+            None => Ok(()),
+            Some(name) => Err(format!("{command} does not read --{name}")),
+        }
     }
 
     /// Resolve `--tune` / `--no-tune` / `--tune-epoch N` over the
@@ -214,6 +232,11 @@ fn parse_fault_spec(spec: &str, gpus: usize) -> Result<Vec<hybridspec::gpu::Faul
 }
 
 fn cmd_spectrum(args: &Args) -> Result<(), String> {
+    args.refuse_unknown(
+        "spectrum",
+        "temp density bins max-z ranks gpus qlen lines out math policy faults \
+         tune no-tune tune-epoch",
+    )?;
     let temp: f64 = args.get("temp", 3.5e6)?;
     let density: f64 = args.get("density", 1.0)?;
     let bins: usize = args.get("bins", 400)?;
@@ -223,7 +246,6 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
     let qlen: u64 = args.get("qlen", 6)?;
     let with_lines: bool = args.get("lines", false)?;
     let out: String = args.get("out", String::new())?;
-    let pack_threshold: u64 = args.get("pack-threshold", 0)?;
     let math_raw = args.get("math", "exact".to_string())?;
     let math = hybridspec::quadrature::MathMode::parse(&math_raw)
         .ok_or_else(|| format!("--math must be exact|vector, got '{math_raw}'"))?;
@@ -263,9 +285,7 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
         gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
         gpu_precision: hybridspec::gpu::Precision::Double,
         cpu_integrator: Integrator::paper_cpu(),
-        fused: true,
         math,
-        pack_threshold,
         resilience,
         tuning: args.tuning(hybridspec::sched::TuningConfig::default())?,
     };
@@ -327,6 +347,7 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_predict(args: &Args) -> Result<(), String> {
+    args.refuse_unknown("predict", "gpus qlen granularity romberg-k async-window")?;
     let gpus: usize = args.get("gpus", 2)?;
     let qlen: u64 = args.get("qlen", 12)?;
     let granularity = match args.get("granularity", "ion".to_string())?.as_str() {
@@ -366,6 +387,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_tune(args: &Args) -> Result<(), String> {
+    args.refuse_unknown("tune", "gpus")?;
     let gpus: usize = args.get("gpus", 2)?;
     let db = atomdb::AtomDatabase::generate(atomdb::DatabaseConfig::default());
     let workload = SpectralWorkload::paper(&db);
@@ -393,6 +415,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_nei(args: &Args) -> Result<(), String> {
+    args.refuse_unknown("nei", "element temp density span")?;
     let z: u8 = args.get("element", 8)?;
     let temp: f64 = args.get("temp", 1e7)?;
     let density: f64 = args.get("density", 1.0)?;
@@ -430,6 +453,10 @@ fn cmd_nei(args: &Args) -> Result<(), String> {
 fn cmd_recalc(args: &Args) -> Result<(), String> {
     use hybridspec::hybrid::{Engine, EngineConfig, ResidentSpectrum};
 
+    args.refuse_unknown(
+        "recalc",
+        "temp dtemp-rel steps density bins max-z gpus tolerance",
+    )?;
     let temp: f64 = args.get("temp", 1e7)?;
     let dtemp_rel: f64 = args.get("dtemp-rel", 1e-12)?;
     let steps: usize = args.get("steps", 8)?;
@@ -444,24 +471,9 @@ fn cmd_recalc(args: &Args) -> Result<(), String> {
         ..atomdb::DatabaseConfig::default()
     }));
     let grid = EnergyGrid::linear(50.0, 2000.0, bins);
-    let workers = 4;
     let engine = Engine::start(EngineConfig {
-        db,
-        workers,
         gpus,
-        max_queue_len: 6,
-        policy: hybridspec::sched::SchedPolicy::CostAware,
-        gpu_rule: hybridspec::gpu::DeviceRule::Simpson { panels: 64 },
-        gpu_precision: hybridspec::gpu::Precision::Double,
-        cpu_integrator: Integrator::Simpson { panels: 64 },
-        fused: true,
-        queue_depth: 2 * workers,
-        deterministic_kernel: true,
-        math: hybridspec::quadrature::MathMode::Exact,
-        pack_threshold: 0,
-        pack_max: 8,
-        resilience: hybridspec::hybrid::ResilienceConfig::default(),
-        tuning: hybridspec::sched::TuningConfig::default(),
+        ..EngineConfig::deterministic(db, 4)
     });
     println!(
         "resident sweep: {steps} step(s) of dT/T = {dtemp_rel:.1e} from {temp:.3e} K \
@@ -513,6 +525,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use hybridspec::router::{RouterConfig, ShardRouter};
     use hybridspec::service::{ElementSelection, SpectrumRequest};
 
+    args.refuse_unknown(
+        "serve",
+        "shards replicas requests max-z bins gpus cache rebalance router-cache hot-k \
+         deadline-ms priority hedge-quantile snapshot affinity no-affinity \
+         tune no-tune tune-epoch",
+    )?;
     let shards: usize = args.get("shards", 2)?;
     let replicas: usize = args.get("replicas", 1)?;
     let requests: usize = args.get("requests", 12)?;
@@ -660,6 +678,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_remnant(args: &Args) -> Result<(), String> {
+    args.refuse_unknown("remnant", "age-yr ambient shells")?;
     const YEAR_S: f64 = 3.156e7;
     let age_yr: f64 = args.get("age-yr", 500.0)?;
     let ambient: f64 = args.get("ambient", 1.0)?;
@@ -686,6 +705,7 @@ fn cmd_remnant(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    args.refuse_unknown("run", "spec out")?;
     let path: String = args.get("spec", String::new())?;
     if path.is_empty() {
         return Err("run needs --spec FILE.json".into());
@@ -768,6 +788,18 @@ mod tests {
         assert!(!b.tuning(TuningConfig::enabled()).unwrap().enabled);
         // Only the allowlisted flags are bare; others still need values.
         assert!(Args::parse(&["--lines".to_string()]).is_err());
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_do_not_read() {
+        // A typo and a retired flag fail before anything runs.
+        for (flag, value) in [("gpu", "4"), ("pack-threshold", "24")] {
+            let err = cmd_spectrum(&args(&[(flag, value)])).unwrap_err();
+            assert!(err.contains(&format!("--{flag}")), "{err}");
+        }
+        // A flag one command reads is refused by another.
+        let err = cmd_tune(&args(&[("temp", "1e7")])).unwrap_err();
+        assert!(err.contains("--temp"), "{err}");
     }
 
     #[test]
