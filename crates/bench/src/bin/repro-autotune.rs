@@ -45,7 +45,6 @@ struct Phase {
     name: &'static str,
     base_s: f64,
     opt_batch: f64,
-    opt_window: f64,
     opt_ranks: f64,
     epochs: usize,
 }
@@ -60,26 +59,23 @@ fn drift_schedule() -> Vec<Phase> {
             name: "element_mix_shift",
             base_s: 1.0,
             opt_batch: 24.0,
-            opt_window: 6.0,
             opt_ranks: 2.0,
             epochs: 80,
         },
         Phase {
-            // A degraded device: shallow windows bound the blast
-            // radius and work shifts back to CPU ranks.
+            // A degraded device: small batches bound the blast radius
+            // and work shifts back to CPU ranks.
             name: "device_degradation",
             base_s: 1.6,
             opt_batch: 8.0,
-            opt_window: 2.0,
             opt_ranks: 6.0,
             epochs: 80,
         },
         Phase {
-            // Load ramp: widest batches and windows win again.
+            // Load ramp: the widest batches win again.
             name: "load_ramp",
             base_s: 2.4,
             opt_batch: 32.0,
-            opt_window: 8.0,
             opt_ranks: 4.0,
             epochs: 80,
         },
@@ -93,12 +89,9 @@ fn bowl(x: f64, opt: f64) -> f64 {
 }
 
 /// The modeled per-request latency of one epoch under `(batch,
-/// window, ranks)` during `phase`.
-fn epoch_latency(phase: &Phase, batch: f64, window: f64, ranks: f64) -> f64 {
-    phase.base_s
-        * bowl(batch, phase.opt_batch)
-        * bowl(window, phase.opt_window)
-        * bowl(ranks, phase.opt_ranks)
+/// ranks)` during `phase`.
+fn epoch_latency(phase: &Phase, batch: f64, ranks: f64) -> f64 {
+    phase.base_s * bowl(batch, phase.opt_batch) * bowl(ranks, phase.opt_ranks)
 }
 
 fn p95(latencies: &[f64]) -> f64 {
@@ -120,19 +113,13 @@ struct PhaseConvergence {
 /// Run the real controller over the drift schedule; returns the
 /// per-epoch latencies it achieved and when it settled in each phase.
 fn run_adaptive(tuning: TuningConfig) -> (Vec<f64>, Vec<PhaseConvergence>) {
-    let knobs = Arc::new(TunerKnobs::new(4, 0, 8, 4));
+    let knobs = Arc::new(TunerKnobs::new(0, 8, 4));
     let tuner = OnlineTuner::new(Arc::clone(&knobs), tuning.patience);
     tuner.add_dim(TunerDim {
         knob: Knob::MaxBatch,
         min: 1,
         max: 32,
         step: 4,
-    });
-    tuner.add_dim(TunerDim {
-        knob: Knob::AsyncWindow,
-        min: 1,
-        max: 8,
-        step: 1,
     });
     tuner.add_dim(TunerDim {
         knob: Knob::ActiveRanks,
@@ -148,7 +135,6 @@ fn run_adaptive(tuning: TuningConfig) -> (Vec<f64>, Vec<PhaseConvergence>) {
             let lat = epoch_latency(
                 &phase,
                 knobs.max_batch() as f64,
-                knobs.async_window() as f64,
                 knobs.active_ranks() as f64,
             );
             latencies.push(lat);
@@ -166,12 +152,10 @@ fn run_adaptive(tuning: TuningConfig) -> (Vec<f64>, Vec<PhaseConvergence>) {
 }
 
 /// Evaluate one frozen configuration over the same drift schedule.
-fn run_fixed(batch: f64, window: f64, ranks: f64) -> Vec<f64> {
+fn run_fixed(batch: f64, ranks: f64) -> Vec<f64> {
     drift_schedule()
         .iter()
-        .flat_map(|phase| {
-            std::iter::repeat_n(epoch_latency(phase, batch, window, ranks), phase.epochs)
-        })
+        .flat_map(|phase| std::iter::repeat_n(epoch_latency(phase, batch, ranks), phase.epochs))
         .collect()
 }
 
@@ -310,19 +294,17 @@ fn main() {
     let adaptive_p95 = p95(&adaptive_lats);
     let adaptive_tp = throughput(&adaptive_lats);
 
-    let mut best_fixed: Option<(f64, f64, f64, f64, f64)> = None; // (b, w, r, p95, tp)
+    let mut best_fixed: Option<(f64, f64, f64, f64)> = None; // (b, r, p95, tp)
     for &b in &[1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0] {
-        for &w in &[1.0, 2.0, 4.0, 6.0, 8.0] {
-            for &r in &[1.0, 2.0, 4.0, 6.0, 8.0] {
-                let lats = run_fixed(b, w, r);
-                let tp = throughput(&lats);
-                if best_fixed.is_none_or(|(.., best_tp)| tp > best_tp) {
-                    best_fixed = Some((b, w, r, p95(&lats), tp));
-                }
+        for &r in &[1.0, 2.0, 4.0, 6.0, 8.0] {
+            let lats = run_fixed(b, r);
+            let tp = throughput(&lats);
+            if best_fixed.is_none_or(|(.., best_tp)| tp > best_tp) {
+                best_fixed = Some((b, r, p95(&lats), tp));
             }
         }
     }
-    let (fixed_b, fixed_w, fixed_r, fixed_p95, fixed_tp) = best_fixed.expect("grid is non-empty");
+    let (fixed_b, fixed_r, fixed_p95, fixed_tp) = best_fixed.expect("grid is non-empty");
     let tp_ratio = adaptive_tp / fixed_tp;
     let p95_ratio = fixed_p95 / adaptive_p95;
     let adaptive_pass = tp_ratio >= 1.15 || p95_ratio >= 1.15;
@@ -428,7 +410,6 @@ fn main() {
                     "best_fixed",
                     ObjectBuilder::new()
                         .field("max_batch", fixed_b)
-                        .field("async_window", fixed_w)
                         .field("active_ranks", fixed_r)
                         .field("p95_s", fixed_p95)
                         .field("throughput", fixed_tp)
@@ -470,7 +451,7 @@ fn main() {
     std::fs::write(path, bundle.to_pretty()).expect("write results");
     println!("wrote {path}");
     println!(
-        "adaptive vs best fixed ({fixed_b:.0}/{fixed_w:.0}/{fixed_r:.0}): \
+        "adaptive vs best fixed ({fixed_b:.0}/{fixed_r:.0}): \
          throughput {tp_ratio:.2}x, p95 {p95_ratio:.2}x"
     );
     println!(

@@ -481,12 +481,7 @@ impl Engine {
         // The live knob block seeds from the frozen configuration; with
         // tuning disabled nothing ever writes it, so the hot paths read
         // exactly the configured values.
-        let knobs = Arc::new(TunerKnobs::new(
-            1, // lanes are synchronous: no engine dimension reads the window
-            0,
-            0,
-            config.workers.max(1) as u64,
-        ));
+        let knobs = Arc::new(TunerKnobs::new(0, 0, config.workers.max(1) as u64));
         let tuner = config.tuning.enabled.then(|| {
             let tuner = Arc::new(OnlineTuner::new(Arc::clone(&knobs), config.tuning.patience));
             tuner.add_dim(TunerDim {
@@ -2035,7 +2030,7 @@ mod tests {
         let staged: StealQueues<StagedTask> = StealQueues::new(1);
         let fault_stats = FaultStats::default();
         let adaptive = Adaptive {
-            knobs: Arc::new(TunerKnobs::new(1, 0, 0, 1)),
+            knobs: Arc::new(TunerKnobs::new(0, 0, 1)),
             cost: Arc::new(CostModel::new()),
             tuner: None,
             completed: AtomicU64::new(0),

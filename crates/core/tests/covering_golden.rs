@@ -3,6 +3,8 @@
 //! one-bin simulated thread integrating its bin alone through the
 //! scalar loop), before the one-bin geometry ran as isolated lanes, so
 //! it checks the lanes against the old code and not against themselves.
+//! The hash does not depend on the host: both `quadrature::vexp` arms
+//! (AVX2 and portable), which the ion populations call, give the same bits.
 
 use atomdb::{AtomDatabase, DatabaseConfig};
 use gpu_sim::{DeviceRule, FusedBinKernel, LaunchConfig, Precision};

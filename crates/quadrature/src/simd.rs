@@ -16,23 +16,20 @@
 //! 3. **Reassembly**: `2^n` is built by integer bit-twiddling of the
 //!    exponent field and multiplied back in.
 //!
-//! Two implementations are selected once per process via
-//! `is_x86_feature_detected!`:
+//! There is one operation sequence, [`vexp1`], built on
+//! [`f64::mul_add`]. Software fma is correctly rounded, so it is
+//! bitwise identical to a hardware FMA lane. Two arms run it, selected
+//! once per process via `is_x86_feature_detected!`:
 //!
-//! * **AVX2+FMA intrinsics** — the fast path. Remainder lanes (batch
-//!   length not a multiple of the chunk width) go through a scalar
-//!   replay of the same sequence built on [`f64::mul_add`]; software
-//!   fma is correctly rounded, i.e. bitwise identical to the hardware
-//!   FMA lanes, so results never depend on where an element falls
-//!   relative to the chunk boundaries.
-//! * **Portable chunked lanes** — `[f64; 4]` loops of plain multiplies
-//!   and adds (no fused ops) the compiler can autovectorize on any
-//!   target, with the same-sequence scalar [`vexp1`] on the remainder.
+//! * **AVX2+FMA intrinsics** — four lanes per instruction, with
+//!   [`vexp1`] on the remainder lanes (batch length not a multiple of
+//!   the chunk width).
+//! * **Portable** — [`vexp1`] one element at a time, on any target.
 //!
-//! Each path is internally position-invariant; across paths the fused
-//! vs unfused rounding differs by at most ~1 ulp, far inside the 1e−14
-//! budget. The environment variable `HSPEC_SIMD=scalar` forces the
-//! portable path so CI can cover both on one machine.
+//! So an element's bits depend neither on the host nor on where it
+//! falls relative to the chunk boundaries, and every golden hash that
+//! `vexp` feeds (ion populations call it in every math mode) holds on
+//! any host.
 //!
 //! [`MathMode`] is the switch the rest of the system threads through:
 //! `Exact` keeps today's scalar-`exp` bitwise behavior (and stays the
@@ -110,33 +107,14 @@ const POLY: [f64; 13] = [
     1.0,
 ];
 
-/// Scalar vectorized-`exp`, unfused arithmetic: the exact per-element
-/// operation sequence of the portable path, used for its remainder
-/// lanes and for one-off evaluations.
+/// Scalar vectorized-`exp`: the one per-element operation sequence.
+/// [`f64::mul_add`] is correctly rounded, so this is bitwise identical
+/// to a hardware FMA lane of the intrinsics arm.
 #[must_use]
 #[inline]
 pub fn vexp1(x: f64) -> f64 {
     // Not `clamp`: NaN must saturate to LO exactly like the
     // `_mm256_max_pd`/`_mm256_min_pd` chain of the intrinsics path.
-    #[allow(clippy::manual_clamp)]
-    let xc = x.max(LO).min(HI);
-    let nf = xc * LOG2E + MAGIC;
-    let n = nf - MAGIC;
-    let r = (xc - n * C1) - n * C2;
-    let mut p = POLY[0];
-    for &c in &POLY[1..] {
-        p = p * r + c;
-    }
-    finish(x, n, p)
-}
-
-/// Scalar replay of the AVX2+FMA lane sequence. [`f64::mul_add`] is
-/// correctly rounded, so this is bitwise identical to a hardware FMA
-/// lane — the remainder-tail handler of the intrinsics path.
-#[must_use]
-#[inline]
-fn vexp1_fused(x: f64) -> f64 {
-    // Not `clamp`: NaN handling must match the vector min/max chain.
     #[allow(clippy::manual_clamp)]
     let xc = x.max(LO).min(HI);
     let nf = xc.mul_add(LOG2E, MAGIC);
@@ -146,12 +124,6 @@ fn vexp1_fused(x: f64) -> f64 {
     for &c in &POLY[1..] {
         p = p.mul_add(r, c);
     }
-    finish(x, n, p)
-}
-
-/// Shared epilogue: `p · 2^n` with the out-of-range lanes overridden.
-#[inline]
-fn finish(x: f64, n: f64, p: f64) -> f64 {
     // n is integral and in [-1022, 1022]; 2^n is a normal double.
     let scale = f64::from_bits(((n as i64 + 1023) as u64) << 52);
     let y = p * scale;
@@ -167,9 +139,8 @@ fn finish(x: f64, n: f64, p: f64) -> f64 {
 /// Replace every element of `xs` with its exponential, in place.
 ///
 /// Dispatches once per process: AVX2+FMA intrinsics when the CPU has
-/// them (and `HSPEC_SIMD=scalar` is not set), otherwise the portable
-/// chunked loop. Relative error is ≤ 1e−14 against [`f64::exp`] over
-/// the whole finite range on either path, and each path gives
+/// them, otherwise the portable loop. Relative error is ≤ 1e−14
+/// against [`f64::exp`] over the whole finite range, and both arms give
 /// bit-identical answers for an element regardless of batch length or
 /// position — see the module docs.
 #[inline]
@@ -194,29 +165,17 @@ fn dispatch() -> fn(&mut [f64]) {
 fn resolve() -> VexpImpl {
     static IMPL: OnceLock<VexpImpl> = OnceLock::new();
     *IMPL.get_or_init(|| {
-        let forced_scalar = std::env::var("HSPEC_SIMD").is_ok_and(|v| v == "scalar");
         #[cfg(target_arch = "x86_64")]
-        if !forced_scalar && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             return (vexp_avx2_entry, true);
         }
-        let _ = forced_scalar;
         (vexp_portable, false)
     })
 }
 
-/// Portable chunked-lane path: four independent [`vexp1`] pipelines per
-/// iteration, written so the compiler can keep the Horner chains of all
-/// lanes in flight at once.
+/// Portable arm: [`vexp1`] per element.
 fn vexp_portable(xs: &mut [f64]) {
-    let mut chunks = xs.chunks_exact_mut(LANES);
-    for chunk in &mut chunks {
-        let mut lane = [0.0f64; LANES];
-        for (l, &x) in lane.iter_mut().zip(chunk.iter()) {
-            *l = vexp1(x);
-        }
-        chunk.copy_from_slice(&lane);
-    }
-    for x in chunks.into_remainder() {
+    for x in xs {
         *x = vexp1(*x);
     }
 }
@@ -228,8 +187,8 @@ fn vexp_avx2_entry(xs: &mut [f64]) {
     unsafe { vexp_avx2(xs) }
 }
 
-/// One 4-lane exponential in the exact operation order of
-/// [`vexp1_fused`]; `2^n` reassembly uses exact integer ops.
+/// One 4-lane exponential in the exact operation order of [`vexp1`];
+/// `2^n` reassembly uses exact integer ops.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
@@ -286,7 +245,7 @@ unsafe fn vexp_avx2(xs: &mut [f64]) {
         _mm256_storeu_pd(chunk.as_mut_ptr(), y);
     }
     for x in chunks.into_remainder() {
-        *x = vexp1_fused(*x);
+        *x = vexp1(*x);
     }
 }
 
@@ -307,16 +266,13 @@ mod tests {
         // Log-spaced magnitudes covering the full RRC exponent range:
         // the integrand argument is -(E - threshold)/kT, which the
         // 40 kT window clamps to [-40, 0], but grids and tests push
-        // arguments anywhere in the finite range. Both scalar
-        // sequences — unfused (portable path) and fused (AVX2 tail) —
-        // must meet the budget; the dispatched batch form is covered by
-        // the position-invariance test below.
+        // arguments anywhere in the finite range. The batch arms are
+        // bitwise equal to this scalar sequence (tests below).
         let mut worst = 0.0f64;
         let mut mag = 1e-300f64;
         while mag < 708.0 {
             for x in [mag, -mag] {
                 worst = worst.max(rel_err(vexp1(x), x.exp()));
-                worst = worst.max(rel_err(vexp1_fused(x), x.exp()));
             }
             mag *= 1.7;
         }
@@ -324,23 +280,20 @@ mod tests {
         for i in 0..=4000 {
             let x = -40.0 * (i as f64) / 4000.0;
             worst = worst.max(rel_err(vexp1(x), x.exp()));
-            worst = worst.max(rel_err(vexp1_fused(x), x.exp()));
         }
         assert!(worst <= 1e-14, "worst relative error {worst:e}");
     }
 
     #[test]
     fn vexp1_edge_cases() {
-        for f in [vexp1, vexp1_fused] {
-            assert_eq!(f(0.0), 1.0);
-            assert_eq!(f(f64::NEG_INFINITY), 0.0);
-            assert_eq!(f(f64::INFINITY), f64::INFINITY);
-            assert_eq!(f(-750.0), 0.0, "deep underflow flushes to zero");
-            assert_eq!(f(750.0), f64::INFINITY);
-            // Just inside the clamp: still a normal, still accurate.
-            let x = -707.9;
-            assert!(rel_err(f(x), x.exp()) <= 1e-14);
-        }
+        assert_eq!(vexp1(0.0), 1.0);
+        assert_eq!(vexp1(f64::NEG_INFINITY), 0.0);
+        assert_eq!(vexp1(f64::INFINITY), f64::INFINITY);
+        assert_eq!(vexp1(-750.0), 0.0, "deep underflow flushes to zero");
+        assert_eq!(vexp1(750.0), f64::INFINITY);
+        // Just inside the clamp: still a normal, still accurate.
+        let x = -707.9;
+        assert!(rel_err(vexp1(x), x.exp()) <= 1e-14);
     }
 
     #[test]
@@ -370,23 +323,54 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_and_portable_paths_agree_to_the_last_ulp() {
+    fn vexp_arms_are_bitwise_identical() {
         if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
             return;
         }
-        // Fused vs unfused rounding may differ, but only in the final
-        // bit of the polynomial/reduction arithmetic: ≤ 2 ulp apart.
-        let xs: Vec<f64> = (0..1003)
-            .map(|i| -709.5 + 1419.0 * (i as f64) / 1002.0)
-            .collect();
-        let mut a = xs.clone();
-        // Safety: guarded by the feature check above.
-        unsafe { vexp_avx2(&mut a) };
-        let mut b = xs.clone();
-        vexp_portable(&mut b);
-        for (i, (&fa, &fb)) in a.iter().zip(&b).enumerate() {
-            let ulps = (fa.to_bits() as i64 - fb.to_bits() as i64).abs();
-            assert!(ulps <= 2, "element {i} (x = {}): {ulps} ulp apart", xs[i]);
+        // Log-spaced magnitudes over the whole finite range, a dense
+        // sweep across the clamp window, and the edges: ±0, subnormals,
+        // exactly ±708 and one ulp past it, ±∞.
+        let past = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            HI,
+            LO,
+            past(HI),
+            past(LO),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut mag = f64::MIN_POSITIVE;
+        while mag < f64::MAX / 1.7 {
+            xs.extend([mag, -mag]);
+            mag *= 1.7;
+        }
+        xs.extend((0..4001).map(|i| -709.5 + 1419.0 * (i as f64) / 4000.0));
+        // Every batch length 0..=9 puts each element in a full chunk
+        // and in the remainder tail of the intrinsics arm.
+        for len in 0..=9usize {
+            let windows: Vec<&[f64]> = if len == 0 {
+                vec![&[]]
+            } else {
+                xs.chunks(len).collect()
+            };
+            for window in windows {
+                let mut a = window.to_vec();
+                // Safety: guarded by the feature check above.
+                unsafe { vexp_avx2(&mut a) };
+                let mut b = window.to_vec();
+                vexp_portable(&mut b);
+                for ((&fa, &fb), &x) in a.iter().zip(&b).zip(window) {
+                    assert_eq!(fa.to_bits(), fb.to_bits(), "len {len}, x = {x:e}");
+                }
+            }
         }
     }
 

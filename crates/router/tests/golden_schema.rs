@@ -46,8 +46,6 @@ fn service_metrics(demoted: bool) -> MetricsSnapshot {
         queue_depth_peak: 5,
         fanout_retried_ions: 2,
         device_failures: 0,
-        neighbor_hits: 3,
-        neighbor_rejects: 1,
         queue: stage(39, 0.5),
         compute: stage(39, 1.0),
         total: stage(39, 1.5),

@@ -8,8 +8,8 @@
 //! runs it continuously against live decision epochs:
 //!
 //! * all tunable knobs live in one [`TunerKnobs`] block of atomics the
-//!   runtime reads on its hot paths (async window, quantizer drop
-//!   bits, service batch size, active rank count);
+//!   runtime reads on its hot paths (quantizer drop bits, service
+//!   batch size, active rank count);
 //! * each registered [`TunerDim`] is probed **one at a time** — the
 //!   controller nudges the knob one step, watches the next epoch's
 //!   signal (lower = better), and commits the move only if it improves
@@ -34,8 +34,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Identity of one tunable runtime knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Knob {
-    /// Engine per-device in-flight submission window.
-    AsyncWindow,
     /// Service quantizer mantissa bits dropped.
     DropBits,
     /// Service batcher coalescing bound.
@@ -49,7 +47,6 @@ impl Knob {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            Knob::AsyncWindow => "async_window",
             Knob::DropBits => "drop_bits",
             Knob::MaxBatch => "max_batch",
             Knob::ActiveRanks => "active_ranks",
@@ -63,7 +60,6 @@ impl Knob {
 /// placement/batching-only.
 #[derive(Debug)]
 pub struct TunerKnobs {
-    async_window: AtomicU64,
     drop_bits: AtomicU64,
     max_batch: AtomicU64,
     active_ranks: AtomicU64,
@@ -72,9 +68,8 @@ pub struct TunerKnobs {
 impl TunerKnobs {
     /// Seed the block with the configured (frozen) values.
     #[must_use]
-    pub fn new(async_window: u64, drop_bits: u64, max_batch: u64, active_ranks: u64) -> TunerKnobs {
+    pub fn new(drop_bits: u64, max_batch: u64, active_ranks: u64) -> TunerKnobs {
         TunerKnobs {
-            async_window: AtomicU64::new(async_window),
             drop_bits: AtomicU64::new(drop_bits),
             max_batch: AtomicU64::new(max_batch),
             active_ranks: AtomicU64::new(active_ranks),
@@ -83,7 +78,6 @@ impl TunerKnobs {
 
     fn cell(&self, knob: Knob) -> &AtomicU64 {
         match knob {
-            Knob::AsyncWindow => &self.async_window,
             Knob::DropBits => &self.drop_bits,
             Knob::MaxBatch => &self.max_batch,
             Knob::ActiveRanks => &self.active_ranks,
@@ -99,12 +93,6 @@ impl TunerKnobs {
     /// Set `knob` to `value`.
     pub fn set(&self, knob: Knob, value: u64) {
         self.cell(knob).store(value, Ordering::Relaxed);
-    }
-
-    /// Engine per-device async submission window.
-    #[must_use]
-    pub fn async_window(&self) -> u64 {
-        self.get(Knob::AsyncWindow)
     }
 
     /// Service quantizer drop bits.
@@ -424,7 +412,7 @@ mod tests {
     use super::*;
 
     fn knobs() -> Arc<TunerKnobs> {
-        Arc::new(TunerKnobs::new(1, 0, 16, 4))
+        Arc::new(TunerKnobs::new(0, 16, 4))
     }
 
     /// A convex single-dimension plant: signal is minimized at
@@ -518,9 +506,9 @@ mod tests {
     fn rollback_restores_the_knob_when_probes_do_not_improve() {
         let k = knobs();
         let tuner = OnlineTuner::new(Arc::clone(&k), 2);
-        k.set(Knob::AsyncWindow, 2);
+        k.set(Knob::ActiveRanks, 2);
         tuner.add_dim(TunerDim {
-            knob: Knob::AsyncWindow,
+            knob: Knob::ActiveRanks,
             min: 1,
             max: 8,
             step: 1,
@@ -531,7 +519,7 @@ mod tests {
             tuner.observe_epoch(1.0);
         }
         assert!(tuner.settled());
-        assert_eq!(k.async_window(), 2, "rollback must restore the seed value");
+        assert_eq!(k.active_ranks(), 2, "rollback must restore the seed value");
         assert_eq!(
             tuner.snapshot().dims[0].last_move,
             0,

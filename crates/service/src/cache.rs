@@ -277,10 +277,8 @@ impl ShardedLruCache {
     }
 
     /// Look `key` up **without** refreshing recency or counting a
-    /// hit/miss — the probe the neighbor-seeded delta path uses while
-    /// scanning candidate buckets, so speculative scans neither skew
-    /// the hit-rate statistics nor protect entries the caller may not
-    /// even use from eviction.
+    /// hit/miss — the tests' probe of what a shard holds.
+    #[cfg(test)]
     #[must_use]
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<Vec<f64>>> {
         if !self.enabled() {
@@ -326,9 +324,9 @@ impl ShardedLruCache {
 
     /// Every cached entry whose `ion_index` is in `ions`, in a
     /// deterministic `(ion_index, state)` order. Stats- and
-    /// recency-neutral, like [`ShardedLruCache::peek`]: exporting a
-    /// donor's entries for migration handoff must not distort the
-    /// donor's own hit-rate picture or protect entries from eviction.
+    /// recency-neutral: exporting a donor's entries for migration
+    /// handoff must not distort the donor's own hit-rate picture or
+    /// protect entries from eviction.
     #[must_use]
     pub fn export_ions(&self, ions: &[usize]) -> Vec<(CacheKey, Arc<Vec<f64>>)> {
         let wanted: HashSet<usize> = ions.iter().copied().collect();

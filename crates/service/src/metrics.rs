@@ -28,8 +28,6 @@ pub struct ServiceMetrics {
     queue_depth_peak: AtomicU64,
     fanout_retried_ions: AtomicU64,
     device_failures: AtomicU64,
-    neighbor_hits: AtomicU64,
-    neighbor_rejects: AtomicU64,
     queue_latency: Mutex<LatencyHistogram>,
     compute_latency: Mutex<LatencyHistogram>,
     total_latency: Mutex<LatencyHistogram>,
@@ -73,14 +71,6 @@ pub struct MetricsSnapshot {
     /// Requests refused with [`crate::ServiceError::DeviceFailed`]
     /// after the fan-out retry budget was exhausted.
     pub device_failures: u64,
-    /// Ion cache misses answered by a delta recalc seeded from a
-    /// cached neighbor bucket within the configured radius (see
-    /// [`crate::ServiceConfig::neighbor_radius`]).
-    pub neighbor_hits: u64,
-    /// Neighbor candidates found in the cache but rejected because the
-    /// classified delta bound exceeded
-    /// [`crate::ServiceConfig::neighbor_tolerance`].
-    pub neighbor_rejects: u64,
     /// Queue-stage latency quantiles/mean, seconds.
     pub queue: StageLatency,
     /// Compute-stage latency quantiles/mean, seconds.
@@ -174,8 +164,6 @@ impl MetricsSnapshot {
             .field("queue_depth_peak", self.queue_depth_peak)
             .field("fanout_retried_ions", self.fanout_retried_ions)
             .field("device_failures", self.device_failures)
-            .field("neighbor_hits", self.neighbor_hits)
-            .field("neighbor_rejects", self.neighbor_rejects)
             .field("cache", self.cache.to_json())
             .field(
                 "cache_shards",
@@ -350,16 +338,6 @@ impl ServiceMetrics {
         self.device_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one cache miss answered from a classified neighbor bucket.
-    pub fn on_neighbor_hit(&self) {
-        self.neighbor_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one neighbor candidate rejected by the delta classifier.
-    pub fn on_neighbor_reject(&self) {
-        self.neighbor_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one batch of `requests` coalesced requests.
     pub fn on_batch(&self, requests: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -410,8 +388,6 @@ impl ServiceMetrics {
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             fanout_retried_ions: self.fanout_retried_ions.load(Ordering::Relaxed),
             device_failures: self.device_failures.load(Ordering::Relaxed),
-            neighbor_hits: self.neighbor_hits.load(Ordering::Relaxed),
-            neighbor_rejects: self.neighbor_rejects.load(Ordering::Relaxed),
             queue: stage(&self.queue_latency),
             compute: stage(&self.compute_latency),
             total: stage(&self.total_latency),
@@ -453,11 +429,7 @@ mod tests {
         m.on_responded(Priority::Interactive, 5e-4, 7e-4);
         m.on_responded(Priority::Bulk, 5e-4, 9e-4);
         m.on_caller_run(Priority::Interactive, 3e-3);
-        m.on_neighbor_hit();
-        m.on_neighbor_hit();
-        m.on_neighbor_reject();
         let s = m.snapshot();
-        assert_eq!((s.neighbor_hits, s.neighbor_rejects), (2, 1));
         assert_eq!(s.submitted, 2);
         assert_eq!(s.shed, 3, "shed is the sum of the split counters");
         assert_eq!(s.shed_queue_full, 1);

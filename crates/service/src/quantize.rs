@@ -79,76 +79,6 @@ impl Quantizer {
             index: 0,
         }
     }
-
-    /// The key of the bucket `offset` steps away from `bits` along one
-    /// axis, in **value order** (negative offsets go toward -∞), or
-    /// `None` when the walk saturates past the finite range (an
-    /// exponent-boundary neighbor would be ±inf/NaN) or off either end
-    /// of the monotone line.
-    ///
-    /// Works on the monotone integer mapping of IEEE-754 totally
-    /// ordered doubles (sign bit flipped for positives, all bits
-    /// flipped for negatives), where every quantization bucket is one
-    /// aligned `2^drop_bits`-wide interval — so "the k-th neighbor" is
-    /// plain integer arithmetic even across the ±0 sign boundary.
-    fn axis_neighbor(&self, bits: u64, offset: i64) -> Option<u64> {
-        const SIGN: u64 = 1u64 << 63;
-        let to_monotone = |b: u64| if b & SIGN != 0 { !b } else { b | SIGN };
-        let from_monotone = |m: u64| if m & SIGN != 0 { m & !SIGN } else { !m };
-        let step = 1u64 << self.drop_bits;
-        // Align onto the bucket's monotone start (negative-axis keys
-        // map to the *top* of their bucket interval).
-        let base = to_monotone(bits) & !(step - 1);
-        let m = if offset >= 0 {
-            base.checked_add((offset as u64).checked_mul(step)?)?
-        } else {
-            base.checked_sub(offset.unsigned_abs().checked_mul(step)?)?
-        };
-        let candidate = from_monotone(m) & (!0u64 << self.drop_bits);
-        // Reject non-finite buckets: saturate at the exponent
-        // boundaries instead of wrapping into inf/NaN space.
-        if !f64::from_bits(candidate).is_finite() {
-            return None;
-        }
-        Some(candidate)
-    }
-
-    /// All state keys within Chebyshev distance `radius` (in buckets)
-    /// of `key` on the (temperature × density) plane, same grid,
-    /// ordered nearest ring first — the scan order for seeding a cache
-    /// miss from a nearby hit. `key` itself is excluded. Empty when
-    /// `radius == 0` or in exact mode (`drop_bits == 0`: buckets are
-    /// single bit patterns and "neighboring state" has no meaningful
-    /// width).
-    #[must_use]
-    pub fn neighbors(&self, key: &StateKey, radius: u32) -> Vec<StateKey> {
-        if self.drop_bits == 0 || radius == 0 {
-            return Vec::new();
-        }
-        let r = i64::from(radius);
-        let mut out = Vec::new();
-        for ring in 1..=r {
-            for dk in -ring..=ring {
-                for dd in -ring..=ring {
-                    if dk.abs().max(dd.abs()) != ring {
-                        continue;
-                    }
-                    let (Some(kt_q), Some(density_q)) = (
-                        self.axis_neighbor(key.kt_q, dk),
-                        self.axis_neighbor(key.density_q, dd),
-                    ) else {
-                        continue;
-                    };
-                    out.push(StateKey {
-                        kt_q,
-                        density_q,
-                        grid_id: key.grid_id,
-                    });
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Quantized plasma state + grid: requests with equal keys are
@@ -221,91 +151,6 @@ mod tests {
             },
             0,
         )
-    }
-
-    #[test]
-    fn neighbors_disabled_in_exact_mode_and_at_radius_zero() {
-        let exact = Quantizer::new(0);
-        let k = key_of(&exact, 1e7, 1.0);
-        assert!(exact.neighbors(&k, 3).is_empty(), "drop_bits 0 ⇒ none");
-        let q = Quantizer::new(32);
-        let k = key_of(&q, 1e7, 1.0);
-        assert!(q.neighbors(&k, 0).is_empty(), "radius 0 ⇒ none");
-    }
-
-    #[test]
-    fn neighbors_are_adjacent_buckets_in_value_order() {
-        let q = Quantizer::new(32);
-        let k = key_of(&q, 1e7, 1.0);
-        let n1 = q.neighbors(&k, 1);
-        // Full first ring on the (T, n_e) plane: 8 buckets.
-        assert_eq!(n1.len(), 8);
-        for n in &n1 {
-            assert_eq!(n.grid_id, k.grid_id);
-            assert_ne!(*n, k, "self excluded");
-            // Every neighbor key is its own bucket's representative.
-            assert_eq!(q.quantize(q.dequantize(n.kt_q)), n.kt_q);
-            assert_eq!(q.quantize(q.dequantize(n.density_q)), n.density_q);
-        }
-        // Along one axis the ±1 buckets bracket the center in value.
-        let up = q.axis_neighbor(k.kt_q, 1).expect("axis up");
-        let down = q.axis_neighbor(k.kt_q, -1).expect("axis down");
-        assert!(q.dequantize(down) < q.dequantize(k.kt_q));
-        assert!(q.dequantize(k.kt_q) < q.dequantize(up));
-        // Adjacency: one bucket up is exactly one mask step in bits.
-        assert_eq!(up, k.kt_q + (1u64 << 32));
-    }
-
-    #[test]
-    fn neighbor_rings_are_ordered_nearest_first() {
-        let q = Quantizer::new(30);
-        let k = key_of(&q, 1e7, 1.0);
-        let n2 = q.neighbors(&k, 2);
-        assert_eq!(n2.len(), 8 + 16, "ring 1 then ring 2");
-        let dist = |n: &StateKey| {
-            let axis = |a: u64, b: u64, step: u64| a.abs_diff(b) / step;
-            axis(n.kt_q, k.kt_q, 1 << 30).max(axis(n.density_q, k.density_q, 1 << 30))
-        };
-        assert!(n2[..8].iter().all(|n| dist(n) == 1));
-        assert!(n2[8..].iter().all(|n| dist(n) == 2));
-    }
-
-    #[test]
-    fn neighbors_cross_the_sign_boundary_in_value_order() {
-        // A bucket just above +0: stepping down crosses into negative
-        // territory without wrapping — the monotone mapping keeps the
-        // walk ordered by value straight through ±0.
-        let q = Quantizer::new(20);
-        let tiny = f64::from_bits(1u64 << 21); // subnormal, > +0 bucket
-        let k = key_of(&q, tiny, 1.0);
-        let down: Vec<f64> = (1..=4)
-            .map(|i| q.dequantize(q.axis_neighbor(k.kt_q, -i).expect("down")))
-            .collect();
-        let mut previous = q.dequantize(k.kt_q);
-        for v in down {
-            assert!(
-                v < previous || (v == 0.0 && previous == 0.0 && v.is_sign_negative()),
-                "{v:e} !< {previous:e}"
-            );
-            previous = v;
-        }
-        assert!(previous < 0.0, "four buckets down is negative");
-    }
-
-    #[test]
-    fn neighbors_saturate_at_the_exponent_boundary() {
-        // The top finite bucket has no upward neighbor (that would be
-        // inf/NaN space); the ring just shrinks instead of wrapping.
-        let q = Quantizer::new(40);
-        let k = key_of(&q, f64::MAX, 1.0);
-        assert!(q.axis_neighbor(k.kt_q, 1).is_none(), "up is inf");
-        assert!(q.axis_neighbor(k.kt_q, -1).is_some(), "down is finite");
-        let ring = q.neighbors(&k, 1);
-        assert_eq!(ring.len(), 5, "3 of 8 ring-1 buckets are non-finite");
-        for n in &ring {
-            assert!(q.dequantize(n.kt_q).is_finite());
-            assert!(q.dequantize(n.density_q).is_finite());
-        }
     }
 
     #[test]

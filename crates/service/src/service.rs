@@ -73,23 +73,6 @@ pub struct ServiceConfig {
     /// ladder runs *inside* each fan-out; this budget bounds the
     /// service's attempts above it.
     pub fanout_retries: u32,
-    /// Chebyshev radius (in quantization buckets, on the temperature ×
-    /// density plane) searched for a cached **neighbor** when an ion
-    /// misses the cache. A neighbor's partial is reused — a delta
-    /// recalc seeded from the neighbor instead of a cold compute —
-    /// only when [`rrc_spectral::classify_ion`] bounds the relative
-    /// change between the neighbor's representative state and the
-    /// requested one by [`ServiceConfig::neighbor_tolerance`]. `0`
-    /// disables the scan entirely (as does exact quantization,
-    /// `quantize_drop_bits == 0`, where buckets have no width and
-    /// hence no meaningful neighbors).
-    pub neighbor_radius: u32,
-    /// Largest classified relative-change bound at which a cached
-    /// neighbor partial may stand in for a fresh computation. At `0.0`
-    /// only provably bitwise-identical states reuse (which cannot
-    /// happen across distinct buckets), so the scan never changes
-    /// response bits.
-    pub neighbor_tolerance: f64,
 }
 
 impl ServiceConfig {
@@ -113,8 +96,6 @@ impl ServiceConfig {
             clock: VirtualClock::real(),
             max_batch: 16,
             fanout_retries: 2,
-            neighbor_radius: 0,
-            neighbor_tolerance: hybrid_spectral::resident::DEFAULT_TOLERANCE,
         }
     }
 }
@@ -141,8 +122,6 @@ struct Shared {
     grids: Vec<EnergyGrid>,
     bin_tables: Vec<Arc<Vec<(f64, f64)>>>,
     fanout_retries: u32,
-    neighbor_radius: u32,
-    neighbor_tolerance: f64,
     queue: PriorityQueues<QueuedRequest>,
     clock: VirtualClock,
     engine: Engine,
@@ -163,8 +142,8 @@ impl Shared {
     /// start. The tuner may only *lower* the dropped bits (its
     /// dimension is bounded by the configured value), so a tuned
     /// service never answers lossier than it was configured to.
-    /// Callers snapshot once per batch/request so key, representative,
-    /// and neighbor scans stay mutually consistent.
+    /// Callers snapshot once per batch/request so key and
+    /// representative stay mutually consistent.
     fn quantizer(&self) -> Quantizer {
         Quantizer::new(self.engine.tuner_knobs().drop_bits() as u32)
     }
@@ -243,8 +222,6 @@ impl SpectralService {
         let shared = Arc::new(Shared {
             bin_tables,
             fanout_retries: config.fanout_retries,
-            neighbor_radius: config.neighbor_radius,
-            neighbor_tolerance: config.neighbor_tolerance.max(0.0),
             queue: PriorityQueues::new(
                 [
                     config.request_queue_depth.max(1),
@@ -515,53 +492,6 @@ pub fn fill_misses(
     (answered, closed)
 }
 
-/// Try to answer a cache miss for `ion` at bucket `key` from a cached
-/// **neighbor** bucket: scan the surrounding rings nearest-first, and
-/// for each cached candidate classify the delta between the neighbor's
-/// representative plasma state (where its bits were computed) and the
-/// requested one. A candidate whose classified bound passes the
-/// configured tolerance is adopted — its `Arc` is re-inserted under the
-/// missed key (so the bucket answers exactly like any other hit from
-/// now on) and returned. Probing uses [`ShardedLruCache::peek`] so the
-/// speculative scan neither skews hit-rate statistics nor refreshes
-/// entries the scan rejects.
-fn neighbor_seed(
-    shared: &Shared,
-    quantizer: &Quantizer,
-    ion: usize,
-    key: &StateKey,
-) -> Option<Arc<Vec<f64>>> {
-    if shared.neighbor_radius == 0 {
-        return None;
-    }
-    let db = &shared.engine.config().db;
-    let bins = &shared.bin_tables[key.grid_id];
-    let target = quantizer.representative(key);
-    for neighbor in quantizer.neighbors(key, shared.neighbor_radius) {
-        let Some(partial) = shared.cache.peek(&CacheKey {
-            ion_index: ion,
-            state: neighbor,
-        }) else {
-            continue;
-        };
-        let origin = quantizer.representative(&neighbor);
-        let class = rrc_spectral::classify_ion(db, ion, &origin, &target, bins);
-        if class.reusable(shared.neighbor_tolerance) {
-            shared.metrics.on_neighbor_hit();
-            shared.cache.insert(
-                CacheKey {
-                    ion_index: ion,
-                    state: *key,
-                },
-                Arc::clone(&partial),
-            );
-            return Some(partial);
-        }
-        shared.metrics.on_neighbor_reject();
-    }
-    None
-}
-
 /// The caller-runs admission path: resolve the whole request on the
 /// submitting thread via [`Engine::compute_inline`], still consulting
 /// and filling the shared cache (so an overloaded burst of repeated
@@ -582,17 +512,14 @@ fn caller_run(shared: &Shared, request: &SpectrumRequest) -> SpectrumResponse {
         };
         let partial = match shared.cache.get(&cache_key) {
             Some(hit) => hit,
-            None => match neighbor_seed(shared, &quantizer, ion, &key) {
-                Some(seeded) => seeded,
-                None => {
-                    let levels = db.levels_by_index(ion).len();
-                    let outcome = shared.engine.compute_inline(ion, 0..levels, &point, grid);
-                    computed += 1;
-                    let value = Arc::new(outcome.partial);
-                    shared.cache.insert(cache_key, Arc::clone(&value));
-                    value
-                }
-            },
+            None => {
+                let levels = db.levels_by_index(ion).len();
+                let outcome = shared.engine.compute_inline(ion, 0..levels, &point, grid);
+                computed += 1;
+                let value = Arc::new(outcome.partial);
+                shared.cache.insert(cache_key, Arc::clone(&value));
+                value
+            }
         };
         partials.insert(ion, partial);
     }
@@ -688,11 +615,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
                 ion_index: ion,
                 state: key,
             };
-            match shared
-                .cache
-                .get(&cache_key)
-                .or_else(|| neighbor_seed(shared, &quantizer, ion, &key))
-            {
+            match shared.cache.get(&cache_key) {
                 Some(hit) => {
                     partials.insert(ion, hit);
                 }
