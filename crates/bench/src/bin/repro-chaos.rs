@@ -1,6 +1,6 @@
 //! Regenerate `BENCH_chaos.json`: acceptance gates for the fault
-//! ladder — deterministic fault injection, bounded retries, health
-//! quarantine, and graceful degradation to the CPU path.
+//! ladder — deterministic fault injection, bounded retries, per-device
+//! circuit breakers, and graceful degradation to the CPU path.
 //!
 //! Four trials, every one against the same workload (every ion of a
 //! reduced database, several waves, deterministic single-chunk
@@ -13,12 +13,14 @@
 //!    100% completion, bitwise parity with the baseline, zero leaked
 //!    grants, per-task attempts within the configured retry bound.
 //! 3. **Sticky loss** — one of two devices dies for good mid-run.
-//!    Gates: 100% completion, parity, the lost device ends
-//!    quarantined.
-//! 4. **Quarantine cycle** — a flapping device fails its first
-//!    launches, quarantines, and must earn its way back through
-//!    probation to `Healthy`. Gate: at least one full
-//!    `Quarantined → Probation → Healthy` cycle observed.
+//!    Gates: 100% completion, parity, the lost device's breaker ends
+//!    Open.
+//! 4. **Breaker cycle** — a flapping device fails its first launches,
+//!    its breaker opens, and it must earn its way back through a
+//!    half-open probe. The engine runs on a manual clock that is
+//!    advanced past the cooldown between a fixed number of waves (no
+//!    sleeps). Gate: at least one `Open`, one `HalfOpen` and one
+//!    `Closed` transition observed.
 //!
 //! `--smoke` shrinks the workload and the sweep for CI; every gate
 //! stays asserted and the JSON is still written.
@@ -28,8 +30,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
+use desim::VirtualClock;
 use gpu_sim::{FaultKind, FaultOp, FaultPlan};
-use hybrid_sched::{HealthConfig, HealthState};
+use hybrid_sched::{BreakerConfig, BreakerState};
 use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
 use hybrid_spectral::ResilienceConfig;
 use jsonlite::ObjectBuilder;
@@ -57,6 +60,11 @@ fn engine_config(
         ..EngineConfig::deterministic(Arc::clone(db), 3)
     }
 }
+
+/// Waves of the breaker-cycle trial, and the engine-clock seconds its
+/// manual clock advances between them (the breaker cooldown).
+const CYCLE_WAVES: u64 = 4;
+const CYCLE_COOLDOWN_S: f64 = 1.0;
 
 /// Microsecond-scale backoff so the sweep spends its time computing,
 /// not sleeping.
@@ -149,14 +157,14 @@ impl Trial {
             .field("max_task_attempts", r.max_task_attempts)
             .field("retry_bound", self.retry_bound)
             .field("worker_panics", r.worker_panics)
-            .field("quarantines", r.quarantines)
-            .field("probations", r.probations)
-            .field("recoveries", r.recoveries)
+            .field("breaker_opens", r.breaker_counters.opens)
+            .field("breaker_half_opens", r.breaker_counters.half_opens)
+            .field("breaker_closes", r.breaker_counters.closes)
             .field(
-                "device_health",
-                r.device_health
+                "device_breakers",
+                r.device_breakers
                     .iter()
-                    .map(|h| format!("{h:?}"))
+                    .map(|b| b.label())
                     .collect::<Vec<_>>(),
             )
             .field("pass", self.pass())
@@ -290,19 +298,17 @@ fn main() {
         &baseline,
     );
     let sticky_lost = sticky.report.device_faults[1].lost;
-    let sticky_quarantined = sticky.report.device_health[1] == HealthState::Quarantined;
+    let sticky_open = sticky.report.device_breakers[1] == BreakerState::Open;
     assert!(sticky_lost, "device 1 must be sticky-lost");
-    assert!(sticky_quarantined, "a lost device stays quarantined");
+    assert!(sticky_open, "a lost device's breaker stays open");
 
-    // -- 4. quarantine → probation → healthy cycle -------------------------
-    eprintln!("quarantine/probation cycle ...");
+    // -- 4. open → half-open → closed breaker cycle ----------------------
+    eprintln!("breaker cycle ...");
     let mut resilience = fast_ladder();
-    resilience.health = HealthConfig {
-        degraded_after: 1,
-        quarantine_after: 2,
-        probation_cooldown: Duration::from_millis(2),
-        probation_successes: 1,
-        ..HealthConfig::default()
+    resilience.breaker = BreakerConfig {
+        min_samples: 2,
+        cooldown_s: CYCLE_COOLDOWN_S,
+        ..BreakerConfig::default()
     };
     resilience.faults = vec![
         FaultPlan::default()
@@ -311,34 +317,32 @@ fn main() {
         FaultPlan::default(),
     ];
     let retry_bound = u64::from(resilience.max_retries) + 1;
-    let engine = Engine::start(engine_config(&db, 2, resilience));
+    let engine = Engine::start(EngineConfig {
+        clock: VirtualClock::manual(),
+        ..engine_config(&db, 2, resilience)
+    });
     let mut cycle_answered = 0u64;
-    let mut cycle_waves = 0u64;
-    // Keep feeding single waves (with the cooldown lapsing in between)
-    // until the ladder reports a full recovery, bounded at 25 rounds.
-    for _ in 0..25 {
+    // Single waves with the cooldown lapsing in between: the first
+    // trips device 0, the next carries its half-open probe.
+    for _ in 0..CYCLE_WAVES {
         cycle_answered += run_all_ions(&engine, &grid, 1).len() as u64;
-        cycle_waves += 1;
-        std::thread::sleep(Duration::from_millis(4));
-        let snap = engine.scheduler_snapshot();
-        if snap.recoveries >= 1 && cycle_waves >= 2 {
-            break;
-        }
+        engine.config().clock.advance(CYCLE_COOLDOWN_S);
     }
     let cycle_report = engine.shutdown();
-    let cycle_expected = cycle_waves * db.ions().len() as u64;
-    let cycle_pass = cycle_report.quarantines >= 1
-        && cycle_report.probations >= 1
-        && cycle_report.recoveries >= 1
+    let cycle_expected = CYCLE_WAVES * db.ions().len() as u64;
+    let transitions = cycle_report.breaker_counters;
+    let cycle_pass = transitions.opens >= 1
+        && transitions.half_opens >= 1
+        && transitions.closes >= 1
         && cycle_answered == cycle_expected
         && cycle_report.leaked_grants == 0;
     eprintln!(
-        "  cycle: waves {cycle_waves}  quarantines {}  probations {}  recoveries {}",
-        cycle_report.quarantines, cycle_report.probations, cycle_report.recoveries
+        "  cycle: waves {CYCLE_WAVES}  opens {}  half-opens {}  closes {}",
+        transitions.opens, transitions.half_opens, transitions.closes
     );
     assert!(
         cycle_pass,
-        "full quarantine cycle not observed: {cycle_report:?}"
+        "full breaker cycle not observed: {cycle_report:?}"
     );
 
     // -- bundle -------------------------------------------------------------
@@ -380,14 +384,15 @@ fn main() {
         .field("sweep", sweep.iter().map(Trial::json).collect::<Vec<_>>())
         .field("sticky_loss", sticky.json())
         .field(
-            "quarantine_cycle",
+            "breaker_cycle",
             ObjectBuilder::new()
-                .field("waves", cycle_waves)
+                .field("waves", CYCLE_WAVES)
+                .field("cooldown_s", CYCLE_COOLDOWN_S)
                 .field("answered", cycle_answered)
                 .field("expected", cycle_expected)
-                .field("quarantines", cycle_report.quarantines)
-                .field("probations", cycle_report.probations)
-                .field("recoveries", cycle_report.recoveries)
+                .field("opens", transitions.opens)
+                .field("half_opens", transitions.half_opens)
+                .field("closes", transitions.closes)
                 .field("leaked_grants", cycle_report.leaked_grants)
                 .field("pass", cycle_pass)
                 .build(),
@@ -405,8 +410,8 @@ fn main() {
                         .field("answered", sticky.answered)
                         .field("expected", sticky.expected)
                         .field("device_lost", sticky_lost)
-                        .field("device_quarantined", sticky_quarantined)
-                        .field("pass", sticky.pass() && sticky_lost && sticky_quarantined)
+                        .field("device_breaker_open", sticky_open)
+                        .field("pass", sticky.pass() && sticky_lost && sticky_open)
                         .build(),
                 )
                 .field(
@@ -420,7 +425,7 @@ fn main() {
                         .build(),
                 )
                 .field(
-                    "full_quarantine_cycle",
+                    "full_breaker_cycle",
                     ObjectBuilder::new().field("pass", cycle_pass).build(),
                 )
                 .build(),
@@ -432,7 +437,7 @@ fn main() {
     println!("wrote {path}");
     println!(
         "chaos acceptance: parity at all {} rates, sticky-loss completion {}/{}, \
-         zero leaked grants, retries bounded, full quarantine cycle observed",
+         zero leaked grants, retries bounded, full breaker cycle observed",
         sweep.len(),
         sticky.answered,
         sticky.expected,

@@ -385,7 +385,7 @@ fn main() {
     cfg.replicas = 2;
     cfg.affinity = false;
     cfg.cache_capacity = 0;
-    cfg.clock = VirtualClock::manual();
+    cfg.engine.clock = VirtualClock::manual();
     let tier = ShardRouter::start(cfg);
     tier.set_lane_faults(0, LaneFaultPlan::seeded(3).drop_rate(1.0));
     let mut sent = 0usize;

@@ -72,13 +72,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use atomdb::AtomDatabase;
+use desim::VirtualClock;
 use gpu_sim::{
     DeviceFault, DevicePtr, DeviceRule, FaultCounters, FusedBinKernel, LaunchConfig, Precision,
     SimGpu,
 };
 use hybrid_sched::{
-    CostKey, CostModel, DeviceId, Grant, HealthState, Knob, Next, OnlineTuner, SchedPolicy,
-    Scheduler, SchedulerSnapshot, StealQueues, TunerDim, TunerKnobs, TuningConfig,
+    BreakerCounters, BreakerState, CostKey, CostModel, DeviceId, Grant, Knob, Next, OnlineTuner,
+    SchedPolicy, Scheduler, SchedulerSnapshot, StealQueues, TunerDim, TunerKnobs, TuningConfig,
 };
 use mpi_sim::{BoundedQueue, TryPushError};
 use quadrature::MathMode;
@@ -126,7 +127,7 @@ pub struct EngineConfig {
     /// [`quadrature::simd`] layer.
     pub math: MathMode,
     /// Fault injection, retry/backoff, deadline-watchdog and
-    /// device-health configuration. [`ResilienceConfig::default`] is
+    /// device-breaker configuration. [`ResilienceConfig::default`] is
     /// the fault-free production shape.
     pub resilience: ResilienceConfig,
     /// Online autotuning: when enabled, a resident
@@ -136,6 +137,13 @@ pub struct EngineConfig {
     /// can move is placement/batching only, so deterministic-kernel
     /// numerics stay bitwise invariant.
     pub tuning: TuningConfig,
+    /// The stack's one clock: device breaker cooldowns run on it, and
+    /// the service and router tiers built on this engine measure
+    /// request deadlines, replica breaker cooldowns and the hedge
+    /// budget on it. Production uses [`VirtualClock::real`];
+    /// deterministic tests install [`VirtualClock::manual`] and advance
+    /// it explicitly.
+    pub clock: VirtualClock,
 }
 
 impl EngineConfig {
@@ -144,8 +152,8 @@ impl EngineConfig {
     /// and single-chunk kernel launches, so an ion partial has the same
     /// bits wherever it runs. Two devices of queue length 6 under
     /// cost-aware placement, an ion-task queue of twice the workers,
-    /// fault-free, tuning off. The service and router tiers start from
-    /// this.
+    /// fault-free, tuning off, a real clock. The service and router
+    /// tiers start from this.
     #[must_use]
     pub fn deterministic(db: Arc<AtomDatabase>, workers: usize) -> EngineConfig {
         EngineConfig {
@@ -162,12 +170,13 @@ impl EngineConfig {
             math: MathMode::Exact,
             resilience: ResilienceConfig::default(),
             tuning: TuningConfig::default(),
+            clock: VirtualClock::real(),
         }
     }
 
     /// Derive a resident-engine configuration from a batch
     /// [`HybridConfig`] (same devices, ranks-as-workers, same
-    /// numerics; covering kernel launches).
+    /// numerics; covering kernel launches; a real clock).
     #[must_use]
     pub fn from_hybrid(cfg: &HybridConfig) -> EngineConfig {
         EngineConfig {
@@ -184,6 +193,7 @@ impl EngineConfig {
             math: cfg.math,
             resilience: cfg.resilience.clone(),
             tuning: cfg.tuning,
+            clock: VirtualClock::real(),
         }
     }
 }
@@ -401,14 +411,10 @@ pub struct EngineReport {
     /// Per-device injected-fault counters from each device's
     /// [`gpu_sim::FaultInjector`].
     pub device_faults: Vec<FaultCounters>,
-    /// Final health state of every device.
-    pub device_health: Vec<HealthState>,
-    /// Healthy/Degraded → Quarantined transitions over the run.
-    pub quarantines: u64,
-    /// Quarantined → Probation re-admissions over the run.
-    pub probations: u64,
-    /// Probation → Healthy recoveries over the run.
-    pub recoveries: u64,
+    /// Final breaker state of every device.
+    pub device_breakers: Vec<BreakerState>,
+    /// Device breaker transitions over the run, summed across devices.
+    pub breaker_counters: BreakerCounters,
     /// Bytes of per-ion partial state resident on devices at shutdown
     /// (see [`crate::resident::ResidentSpectrum`]).
     pub resident_bytes: u64,
@@ -469,11 +475,12 @@ impl Engine {
                 })
                 .collect(),
         );
-        let scheduler = Scheduler::with_health(
+        let scheduler = Scheduler::with_breakers(
             config.gpus,
             config.max_queue_len,
             config.policy,
-            config.resilience.health,
+            config.resilience.breaker,
+            config.clock.clone(),
         );
         let fault_stats = Arc::new(FaultStats::default());
         let queue: BoundedQueue<Queued> = BoundedQueue::new(config.queue_depth.max(1));
@@ -824,12 +831,13 @@ impl Engine {
             .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(reader));
     }
 
-    /// The device-health ladder's current view — the routing tier's
-    /// demotion signal (a shard whose devices are all quarantined is
-    /// demoted in the ring and traffic prefers its replicas).
+    /// Whether every device's breaker is Open — the routing tier's
+    /// demotion signal (a replica whose devices are all out routes
+    /// around while its siblings can serve). `false` for a CPU-only
+    /// engine.
     #[must_use]
-    pub fn health_snapshot(&self) -> hybrid_sched::HealthSnapshot {
-        self.scheduler.health().snapshot()
+    pub fn all_devices_open(&self) -> bool {
+        self.scheduler.all_open()
     }
 
     /// Graceful shutdown: refuse new work, drain queued jobs, run every
@@ -896,10 +904,8 @@ impl Engine {
             worker_panics,
             device_panics: self.devices.iter().map(SimGpu::tasks_panicked).collect(),
             device_faults: self.devices.iter().map(|g| g.faults().counters()).collect(),
-            device_health: snap.health,
-            quarantines: snap.quarantines,
-            probations: snap.probations,
-            recoveries: snap.recoveries,
+            device_breakers: snap.breakers,
+            breaker_counters: snap.breaker_counters,
             resident_bytes: self.resident.bytes(),
             resident_bytes_peak: self.resident.bytes_peak(),
             resident_delta_recalcs: self.resident.delta_recalcs(),
@@ -950,14 +956,13 @@ fn run_cpu_task(config: &EngineConfig, pool: &mut WorkspacePool, job: IonJob, _t
     });
 }
 
-/// Record one device failure in the health ladder: sticky loss
-/// quarantines permanently, anything transient feeds the
-/// consecutive-failure and error-rate thresholds.
+/// Record one device failure in the device's breaker: sticky loss
+/// opens it for good, anything transient feeds its rolling window.
 fn note_device_failure(scheduler: &Scheduler, d: usize, fault: DeviceFault) {
     if fault == DeviceFault::Lost {
-        scheduler.health().mark_lost(d);
+        scheduler.breaker(DeviceId(d)).lose();
     } else {
-        scheduler.health().record_failure(d);
+        scheduler.record_failure(DeviceId(d));
     }
 }
 
@@ -1133,8 +1138,8 @@ fn pump_loop(lane: &Lane<'_>) {
 
     loop {
         // Steal only with room to hold the reassigned grant — and only
-        // while this device may receive work at all (a quarantined or
-        // lost device must not pull tasks toward itself); `next` itself
+        // while this device may receive work at all (a device whose
+        // breaker is Open must not pull tasks toward itself); `next` itself
         // only steals once this lane is empty (device idle).
         let can_steal = scheduler.load(DeviceId(d)) < config.max_queue_len
             && scheduler.device_eligible(DeviceId(d));
@@ -1219,7 +1224,7 @@ impl Lane<'_> {
             };
             match result {
                 Ok((partial, evals)) if !timed_out && dma_fault.is_none() => {
-                    scheduler.health().record_success(d);
+                    scheduler.record_success(DeviceId(d));
                     FaultStats::bump(&self.fault_stats.gpu_completions);
                     let measured = device.charge_task_measured(
                         evals,
@@ -1256,7 +1261,7 @@ impl Lane<'_> {
                         note_device_failure(scheduler, d, fault);
                     } else if timed_out {
                         FaultStats::bump(&self.fault_stats.task_timeouts);
-                        scheduler.health().record_failure(d);
+                        scheduler.record_failure(DeviceId(d));
                     } else if let Some(fault) = dma_fault {
                         note_device_failure(scheduler, d, fault);
                     }

@@ -5,11 +5,13 @@
 //! configuration: which [`FaultPlan`] each simulated device runs under,
 //! how many retries a failed task gets, how the retry backoff grows,
 //! the optional per-task deadline the settle watchdog enforces, and the
-//! [`HealthConfig`] thresholds of the per-device health state machine.
+//! [`BreakerConfig`] of the per-device circuit breakers.
 //!
 //! The default is the fault-free production shape: empty fault plans,
 //! three retries with a 100 µs exponential backoff capped at 5 ms, no
-//! deadline, CPU fallback enabled, default health thresholds. Every
+//! deadline, CPU fallback enabled, default breakers (a 16-outcome
+//! window tripping at 50 % failures once 4 outcomes are in, 0.25
+//! engine-clock seconds of cooldown). Every
 //! pre-existing construction site gets this via `..Default::default()`
 //! semantics ([`ResilienceConfig::default`]), so fault tolerance is a
 //! zero-cost opt-in: with empty plans the injector fast-path is a
@@ -19,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use gpu_sim::FaultPlan;
-use hybrid_sched::HealthConfig;
+use hybrid_sched::BreakerConfig;
 
 /// Fault-injection and recovery configuration of one engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,9 +47,9 @@ pub struct ResilienceConfig {
     /// device) runs on the host QAGS path instead of failing. Disabled
     /// only by tests probing the ladder itself.
     pub cpu_fallback_on_fault: bool,
-    /// Thresholds of the per-device health state machine
-    /// (`Healthy → Degraded → Quarantined → Probation`).
-    pub health: HealthConfig,
+    /// The per-device circuit breakers (`Closed → Open → HalfOpen`);
+    /// the cooldown is in seconds of [`crate::EngineConfig::clock`].
+    pub breaker: BreakerConfig,
 }
 
 impl Default for ResilienceConfig {
@@ -59,7 +61,7 @@ impl Default for ResilienceConfig {
             backoff_cap: Duration::from_millis(5),
             task_deadline: None,
             cpu_fallback_on_fault: true,
-            health: HealthConfig::default(),
+            breaker: BreakerConfig::default(),
         }
     }
 }

@@ -64,7 +64,7 @@ pub struct HybridConfig {
     /// accumulations through the lane-parallel [`quadrature::simd`]
     /// layer (max relative deviation ≤ 1e-12).
     pub math: MathMode,
-    /// Fault injection, retry/backoff and device-health configuration
+    /// Fault injection, retry/backoff and device-breaker configuration
     /// (see [`crate::resilience::ResilienceConfig`]; the default is
     /// fault-free).
     pub resilience: ResilienceConfig,
@@ -138,10 +138,10 @@ pub struct RunReport {
     pub task_retries: u64,
     /// Tasks released to the host path after the ladder ran out.
     pub fault_cpu_fallbacks: u64,
-    /// Final per-device health states.
-    pub device_health: Vec<hybrid_sched::HealthState>,
-    /// Healthy/Degraded → Quarantined transitions over the run.
-    pub quarantines: u64,
+    /// Final per-device breaker states.
+    pub device_breakers: Vec<hybrid_sched::BreakerState>,
+    /// Device breaker transitions over the run, summed across devices.
+    pub breaker_counters: hybrid_sched::BreakerCounters,
 }
 
 impl RunReport {
@@ -256,8 +256,8 @@ impl HybridRunner {
             task_faults: report.task_faults,
             task_retries: report.task_retries,
             fault_cpu_fallbacks: report.fault_cpu_fallbacks,
-            device_health: report.device_health,
-            quarantines: report.quarantines,
+            device_breakers: report.device_breakers,
+            breaker_counters: report.breaker_counters,
         }
     }
 }

@@ -6,15 +6,18 @@
 //! the fault-free [`SerialCalculator`] reference no matter which
 //! injected launch refusals, kernel panics, stalls, DMA failures or
 //! sticky device losses fire — and every submitted task must be
-//! answered, with zero leaked scheduler grants, even while devices
-//! quarantine and retries bounce between lanes mid-shutdown.
+//! answered, with zero leaked scheduler grants, even while device
+//! breakers open and retries bounce between lanes mid-shutdown.
+//! Breaker cooldowns run on a manual engine clock that the tests
+//! advance; nothing here sleeps.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
+use desim::VirtualClock;
 use gpu_sim::{FaultKind, FaultOp, FaultPlan};
-use hybrid_sched::{HealthConfig, HealthState};
+use hybrid_sched::{BreakerConfig, BreakerState};
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use hybrid_spectral::resilience::ResilienceConfig;
 use hybrid_spectral::SchedPolicy;
@@ -204,7 +207,7 @@ fn kernel_panic_mid_run_completes_without_deadlock() {
 fn sticky_loss_of_one_of_two_devices_completes_everything() {
     // The headline degradation gate: one of two devices dies for good
     // mid-run. Its tasks reassign to the surviving device (or the host
-    // path), the health ladder quarantines it permanently, and every
+    // path), its breaker opens for good, and every
     // task still answers with bitwise-clean partials.
     let mut resilience = fast_ladder();
     resilience.faults = vec![FaultPlan::default(), FaultPlan::default().lose_device_at(4)];
@@ -221,9 +224,13 @@ fn sticky_loss_of_one_of_two_devices_completes_everything() {
     assert_eq!(report.leaked_grants, 0);
     assert!(report.device_faults[1].lost, "device 1 was lost");
     assert_eq!(
-        report.device_health[1],
-        HealthState::Quarantined,
-        "a lost device stays quarantined"
+        report.device_breakers[1],
+        BreakerState::Open,
+        "a lost device's breaker stays open"
+    );
+    assert_eq!(
+        report.breaker_counters.half_opens, 0,
+        "a lost device never probes"
     );
     assert_eq!(report.worker_panics, 0);
 }
@@ -235,9 +242,9 @@ fn shutdown_under_fault_does_not_hang() {
     // a stranded retry would hang this forever, so run the shutdown on
     // a watchdog thread.
     let mut resilience = fast_ladder();
-    resilience.health = HealthConfig {
-        probation_cooldown: Duration::from_millis(1),
-        ..HealthConfig::default()
+    resilience.breaker = BreakerConfig {
+        cooldown_s: 1.0,
+        ..BreakerConfig::default()
     };
     resilience.faults = vec![
         FaultPlan::seeded(7)
@@ -246,7 +253,9 @@ fn shutdown_under_fault_does_not_hang() {
             .dma_error_rate(0.2),
         FaultPlan::default().lose_device_at(2),
     ];
-    let engine = Engine::start(chaos_config(2, resilience));
+    let mut cfg = chaos_config(2, resilience);
+    cfg.clock = VirtualClock::manual();
+    let engine = Engine::start(cfg);
     let grid = EnergyGrid::linear(50.0, 2000.0, 24);
     let ions = engine.config().db.ions().len();
     let bins = Arc::new(grid.bin_pairs());
@@ -269,7 +278,9 @@ fn shutdown_under_fault_does_not_hang() {
     }
     drop(tx);
     // Shut down immediately — jobs are still queued, staged, launching
-    // and failing right now.
+    // and failing right now. The cooldown lapses first, so a breaker
+    // that already opened re-admits probes during the drain.
+    engine.config().clock.advance(1.0);
     let (done_tx, done_rx) = channel();
     std::thread::spawn(move || {
         let report = engine.shutdown();
@@ -286,16 +297,14 @@ fn shutdown_under_fault_does_not_hang() {
 
 #[test]
 fn quarantine_and_probation_cycle_recovers_a_flapping_device() {
-    // Device 0 fails its first launches back-to-back, quarantines, sits
-    // out the cooldown, earns its way back through probation, and
-    // serves cleanly afterwards.
+    // Device 0 fails its first two launches back-to-back, its breaker
+    // opens, sits out the cooldown on the engine clock, is re-admitted
+    // by a half-open probe, and serves cleanly afterwards.
     let mut resilience = fast_ladder();
-    resilience.health = HealthConfig {
-        degraded_after: 1,
-        quarantine_after: 2,
-        probation_cooldown: Duration::from_millis(2),
-        probation_successes: 1,
-        ..HealthConfig::default()
+    resilience.breaker = BreakerConfig {
+        min_samples: 2,
+        cooldown_s: 1.0,
+        ..BreakerConfig::default()
     };
     resilience.faults = vec![
         FaultPlan::default()
@@ -303,18 +312,26 @@ fn quarantine_and_probation_cycle_recovers_a_flapping_device() {
             .fire_at(FaultOp::Launch, 1, FaultKind::LaunchError),
         FaultPlan::default(),
     ];
-    let engine = Engine::start(chaos_config(2, resilience));
+    let mut cfg = chaos_config(2, resilience);
+    cfg.clock = VirtualClock::manual();
+    let engine = Engine::start(cfg);
     let grid = EnergyGrid::linear(50.0, 2000.0, 24);
     let ions = engine.config().db.ions().len();
+    let reference = serial_reference(engine.config(), &grid);
     let mut total = 0usize;
     for _ in 0..4 {
-        total += run_all_ions(&engine, &grid, 1).len();
-        // Let the probation cooldown lapse between waves.
-        std::thread::sleep(Duration::from_millis(4));
+        let outcomes = run_all_ions(&engine, &grid, 1);
+        assert_bitwise(&outcomes, &reference, "flapping device");
+        total += outcomes.len();
+        // Let the cooldown lapse between waves.
+        engine.config().clock.advance(1.0);
     }
     assert_eq!(total, 4 * ions);
     let report = engine.shutdown();
-    assert!(report.quarantines >= 1, "device 0 quarantined: {report:?}");
-    assert!(report.probations >= 1, "probation probe admitted");
+    let c = report.breaker_counters;
+    assert!(c.opens >= 1, "device 0 tripped: {report:?}");
+    assert!(c.half_opens >= 1, "probe admitted: {report:?}");
+    assert!(c.closes >= 1, "probe succeeded: {report:?}");
+    assert_eq!(report.device_breakers, vec![BreakerState::Closed; 2]);
     assert_eq!(report.leaked_grants, 0);
 }

@@ -7,7 +7,11 @@
 //! measured against — production uses [`VirtualClock::real`] (anchored
 //! monotonic wall time), tests use [`VirtualClock::manual`] and advance
 //! it explicitly so admission and breaker cooldown decisions replay
-//! bit-for-bit. Placing these types here (the lowest crate in the
+//! bit-for-bit. One clock serves the whole stack: the engine
+//! configuration carries it, the scheduler's per-device circuit
+//! breakers run their cooldowns on it, and the service and router read
+//! the engine's clock for request deadlines, per-replica breakers and
+//! the hedge budget. Placing these types here (the lowest crate in the
 //! workspace) lets the scheduler, engine, service, and router all speak
 //! the same deadline vocabulary without a dependency cycle.
 

@@ -16,9 +16,9 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cost::{CostModel, MeasuredCost};
 use crate::fault::{FaultInjector, FaultPlan};
@@ -116,12 +116,9 @@ pub struct SimGpu {
     faults: FaultInjector,
 }
 
-/// Why a fallible wait on a [`TaskHandle`] returned no result.
+/// Why a device task returned no result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskError {
-    /// The deadline elapsed before the task completed (watchdog). The
-    /// task may still finish later; its result is discarded.
-    Timeout,
     /// The task's result can never arrive: its body panicked (caught on
     /// the device worker) or the device was dropped with it queued.
     Lost,
@@ -130,7 +127,6 @@ pub enum TaskError {
 impl std::fmt::Display for TaskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TaskError::Timeout => write!(f, "task deadline elapsed"),
             TaskError::Lost => write!(f, "task result lost"),
         }
     }
@@ -162,23 +158,6 @@ impl<R> TaskHandle<R> {
     /// [`TaskError::Lost`] when the result channel disconnected.
     pub fn wait_result(self) -> Result<R, TaskError> {
         self.result.recv().map_err(|_| TaskError::Lost)
-    }
-
-    /// [`TaskHandle::wait_result`] with a watchdog deadline.
-    ///
-    /// # Errors
-    /// [`TaskError::Timeout`] once `deadline` elapses,
-    /// [`TaskError::Lost`] when the result channel disconnected.
-    pub fn wait_timeout(self, deadline: Duration) -> Result<R, TaskError> {
-        self.result.recv_timeout(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TaskError::Timeout,
-            RecvTimeoutError::Disconnected => TaskError::Lost,
-        })
-    }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<R> {
-        self.result.try_recv().ok()
     }
 }
 
@@ -335,15 +314,6 @@ impl SimGpu {
         TaskHandle { result: rx }
     }
 
-    /// Submit and block — the paper's synchronous task mode.
-    pub fn execute_sync<R, F>(&self, task: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        self.submit(task).wait()
-    }
-
     /// Run `task` as this device's work **on the calling thread**: the
     /// synchronous mode without the queue hop, for a caller that is the
     /// device's only driver and would block on the result anyway. The
@@ -417,7 +387,7 @@ mod tests {
     #[test]
     fn executes_submitted_work() {
         let gpu = SimGpu::new(fermi());
-        let result = gpu.execute_sync(|| 21 * 2);
+        let result = gpu.submit(|| 21 * 2).wait();
         assert_eq!(result, 42);
         assert_eq!(gpu.tasks_completed(), 1);
     }
@@ -470,7 +440,8 @@ mod tests {
     #[test]
     fn counters_track_busy_time() {
         let gpu = SimGpu::new(fermi());
-        gpu.execute_sync(|| std::thread::sleep(std::time::Duration::from_millis(10)));
+        gpu.submit(|| std::thread::sleep(std::time::Duration::from_millis(10)))
+            .wait();
         assert!(gpu.busy_seconds() >= 0.009);
     }
 
@@ -535,7 +506,7 @@ mod tests {
         assert_eq!(h.wait_result(), Err(TaskError::Lost));
         assert_eq!(gpu.tasks_panicked(), 1);
         // The worker survived and serves later submissions.
-        assert_eq!(gpu.execute_sync(|| 7), 7);
+        assert_eq!(gpu.submit(|| 7).wait(), 7);
     }
 
     #[test]
@@ -552,24 +523,9 @@ mod tests {
         assert_eq!((gpu.tasks_completed(), gpu.tasks_panicked()), (2, 1));
         assert!(gpu.workers.get().is_none(), "inline work starts no worker");
         // The queued path still serves, sharing the same counters.
-        assert_eq!(gpu.execute_sync(|| 7), 7);
+        assert_eq!(gpu.submit(|| 7).wait(), 7);
         assert_eq!(gpu.tasks_completed(), 3);
         assert_eq!(gpu.workers.get().map(Vec::len), Some(1));
-    }
-
-    #[test]
-    fn wait_timeout_trips_on_slow_tasks() {
-        let gpu = SimGpu::new(fermi());
-        let h = gpu.submit(|| {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            1
-        });
-        assert_eq!(
-            h.wait_timeout(std::time::Duration::from_millis(5)),
-            Err(TaskError::Timeout)
-        );
-        let h = gpu.submit(|| 2);
-        assert_eq!(h.wait_timeout(std::time::Duration::from_secs(5)), Ok(2));
     }
 
     #[test]

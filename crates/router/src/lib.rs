@@ -17,8 +17,8 @@
 //!   single-engine answer under the deterministic kernel;
 //! * **replication + health-aware re-routing** ([`router`]): reads go
 //!   to the least-loaded non-demoted replica of each segment; ions a
-//!   replica fails re-route to a sibling, and a replica whose devices
-//!   are all quarantined/lost is demoted out of selection while its
+//!   replica fails re-route to a sibling, and a replica whose device
+//!   breakers are all Open is demoted out of selection while its
 //!   CPU fallback remains a last resort;
 //! * **capacity rebalancing**: static [`hybrid_spectral::
 //!   ion_task_cost`] sums per segment feed a greedy rebalancer that

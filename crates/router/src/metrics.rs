@@ -72,8 +72,8 @@ impl RouterMetrics {
         self.reroutes.fetch_add(parts, Ordering::Relaxed);
     }
 
-    /// Record a replica passed over during selection because its
-    /// health ladder had every device quarantined or lost.
+    /// Record a replica passed over during selection because every
+    /// one of its device breakers was Open.
     pub fn on_demoted_skip(&self) {
         self.demoted_skips.fetch_add(1, Ordering::Relaxed);
     }
@@ -249,9 +249,8 @@ pub struct RouterCounters {
 pub struct ReplicaSnapshot {
     /// Replica index within its segment.
     pub replica: usize,
-    /// Whether the health ladder currently demotes this replica
-    /// (every device quarantined or lost; a CPU-only replica is never
-    /// demoted).
+    /// Whether this replica is demoted (every device breaker Open; a
+    /// CPU-only replica is never demoted).
     pub demoted: bool,
     /// Shard sub-requests in flight on this replica right now.
     pub outstanding: u64,
@@ -270,7 +269,7 @@ pub struct ReplicaSnapshot {
     /// The same counters per cache shard, in shard order.
     pub cache_shards: Vec<CacheStats>,
     /// This replica's service metrics with its engine's scheduler
-    /// view (health ladder states live under `scheduler.health`).
+    /// view (device breaker states live under `scheduler.breakers`).
     pub service: MetricsSnapshot,
 }
 

@@ -28,12 +28,12 @@
 //!
 //! Each segment is served by `replicas` identical engines. A read
 //! picks the least-loaded replica (in-flight envelope count, ties
-//! broken by a consistent hash of the quantized state) among those the
-//! health ladder has not demoted — a replica whose devices are all
-//! quarantined/lost routes around until its CPU-fallback siblings are
-//! also exhausted, in which case it still serves (its CPU path
-//! answers). Failed or unanswered ions re-route to a different
-//! replica up to [`RouterConfig::reroute_retries`] times.
+//! broken by a consistent hash of the quantized state) among those not
+//! demoted — a replica whose device breakers are all Open routes
+//! around until its CPU-fallback siblings are also exhausted, in which
+//! case it still serves (its CPU path answers). Failed or unanswered
+//! ions re-route to a different replica up to
+//! [`RouterConfig::reroute_retries`] times.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -138,12 +138,11 @@ pub struct RouterConfig {
     /// rate bound).
     pub hedge_refill_per_sec: f64,
     /// Per-replica circuit-breaker tuning (rolling failure window,
-    /// trip threshold, probe cooldown).
+    /// trip threshold, probe cooldown in seconds of the engine clock —
+    /// [`EngineConfig::clock`], which the breakers and the hedge bucket
+    /// read, so a manual clock there makes their decisions replayable
+    /// in tests).
     pub breaker: BreakerConfig,
-    /// The clock breaker cooldowns and the hedge bucket read — a
-    /// manual [`VirtualClock`] makes their decisions replayable in
-    /// tests.
-    pub clock: VirtualClock,
 }
 
 impl RouterConfig {
@@ -180,7 +179,6 @@ impl RouterConfig {
             hedge_tokens: 32.0,
             hedge_refill_per_sec: 8.0,
             breaker: BreakerConfig::default(),
-            clock: VirtualClock::real(),
         }
     }
 }
@@ -390,7 +388,7 @@ impl ShardRouter {
             // config reproduces the whole routing + locality state on
             // restart.
             hot: HotTracker::new(config.hot_state_k, config.ring_seed),
-            clock: config.clock,
+            clock: config.engine.clock.clone(),
             hedge_quantile: config.hedge_quantile.clamp(0.0, 1.0),
             hedge_min_wait_s: config.hedge_min_wait.as_secs_f64(),
             hedge_bucket: TokenBucket::new(config.hedge_tokens, config.hedge_refill_per_sec),
@@ -455,7 +453,8 @@ impl ShardRouter {
         &self.breakers[segment * self.replicas_per_segment + replica]
     }
 
-    /// The clock breaker cooldowns and the hedge token bucket read.
+    /// The clock breaker cooldowns and the hedge token bucket read (the
+    /// replica engines' [`EngineConfig::clock`]).
     #[must_use]
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
@@ -972,24 +971,23 @@ impl ShardRouter {
     /// instead of diluting them across R caches. Otherwise — and
     /// always with affinity disabled — fall back to the baseline:
     /// prefer replicas not yet tried this request, among those prefer
-    /// ones the health ladder has not demoted, and take the
-    /// least-loaded (ties spread by a consistent hash of the quantized
-    /// state). When every replica is demoted the least-loaded one
+    /// ones not demoted, and take the least-loaded (ties spread by a
+    /// consistent hash of the quantized state). When every replica is demoted the least-loaded one
     /// still serves — its CPU fallback answers (graceful degradation,
     /// not refusal).
     fn pick_replica(&self, segment: usize, key: &StateKey, tried: &[usize]) -> usize {
         let base = segment * self.replicas_per_segment;
-        let now = self.clock.now();
-        // Probes outrank everything: an Open breaker whose cooldown
-        // elapsed gets exactly this one request to prove itself —
-        // granting the probe and then routing elsewhere would strand
-        // the breaker HalfOpen forever.
+        // Probes outrank everything: a breaker that grants one (cooldown
+        // elapsed, nothing in flight on the replica) gets this request
+        // to prove itself. Closed breakers skip the clock read.
         for r in 0..self.replicas_per_segment {
             if tried.contains(&r) {
                 continue;
             }
             let breaker = &self.breakers[base + r];
-            if breaker.state() == BreakerState::Open && breaker.allow(now) {
+            if breaker.state() != BreakerState::Closed
+                && breaker.allow(self.clock.now(), self.replicas[base + r].outstanding())
+            {
                 return r;
             }
         }

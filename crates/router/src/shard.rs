@@ -303,15 +303,15 @@ impl ShardReplica {
         self.ctx.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Whether the health ladder currently demotes this replica:
-    /// every simulated device is quarantined or lost. A CPU-only
-    /// replica (no devices) is never demoted — its CPU path answers.
+    /// Whether this replica is demoted: every simulated device's
+    /// breaker is Open. A CPU-only replica (no devices) is never
+    /// demoted — its CPU path answers.
     #[must_use]
     pub fn demoted(&self) -> bool {
-        self.ctx.engine.gpus() > 0 && self.ctx.engine.health_snapshot().all_quarantined()
+        self.ctx.engine.all_devices_open()
     }
 
-    /// This replica's engine (fault injection, health, scheduler
+    /// This replica's engine (fault injection, breaker, scheduler
     /// introspection for tests and benches).
     #[must_use]
     pub fn engine(&self) -> &Engine {

@@ -9,7 +9,7 @@
 //! rewrites the file and fails, and the next run passes. Commit the
 //! regenerated file with the change that motivated it.
 
-use hybrid_sched::{DimSnapshot, HealthState, Knob, TunerSnapshot};
+use hybrid_sched::{BreakerCounters, BreakerState, DimSnapshot, Knob, TunerSnapshot};
 use rrc_router::{ReplicaSnapshot, RouterCounters, RouterSnapshot, SegmentSnapshot};
 use rrc_service::{CacheStats, MetricsSnapshot, StageLatency};
 
@@ -53,14 +53,16 @@ fn service_metrics(demoted: bool) -> MetricsSnapshot {
         scheduler_steals: vec![4, 0],
         scheduler_cpu_steals: 1,
         scheduler_weighted_loads: vec![120, 80],
-        scheduler_health: if demoted {
-            vec![HealthState::Quarantined, HealthState::Quarantined]
+        scheduler_breakers: if demoted {
+            vec![BreakerState::Open, BreakerState::Open]
         } else {
-            vec![HealthState::Healthy, HealthState::Degraded]
+            vec![BreakerState::Closed, BreakerState::HalfOpen]
         },
-        scheduler_quarantines: u64::from(demoted) * 2,
-        scheduler_probations: 0,
-        scheduler_recoveries: 0,
+        scheduler_breaker_counters: BreakerCounters {
+            opens: 2 + u64::from(demoted),
+            half_opens: 1,
+            closes: u64::from(!demoted),
+        },
         scheduler_cost_residual_milli: 37,
         scheduler_cost_observations: 210,
         scheduler_tuner: if demoted {

@@ -198,7 +198,7 @@ fn affinity_falls_back_to_the_baseline_order_when_preferred_demotes() {
     let pref = preferred_replica(&key, 0, 2, ring_seed);
 
     // Sticky-lose every device of the preferred replica: the first
-    // task each device touches fails Lost and quarantines it.
+    // task each device touches fails Lost and opens its breaker.
     let victim = router.replica(0, pref);
     for d in 0..victim.engine().gpus() {
         victim

@@ -124,7 +124,7 @@ fn hedge_token_bucket_is_a_hard_budget_under_straggler_storm() {
     cfg.hedge_min_wait = Duration::from_millis(1);
     cfg.hedge_tokens = 2.0;
     cfg.hedge_refill_per_sec = 1000.0; // irrelevant: the clock is frozen
-    cfg.clock = VirtualClock::manual();
+    cfg.engine.clock = VirtualClock::manual();
     let tier = ShardRouter::start(cfg);
     // Both replicas straggle on every delivery, far past the trigger:
     // every request's single slot attempts exactly one hedge.
@@ -162,7 +162,7 @@ fn open_breaker_starves_replica_until_probe_succeeds() {
     cfg.replicas = 2;
     cfg.affinity = false;
     cfg.cache_capacity = 0;
-    cfg.clock = VirtualClock::manual();
+    cfg.engine.clock = VirtualClock::manual();
     let tier = ShardRouter::start(cfg);
     // Replica 0's lane eats every delivery; its parts resolve missing
     // and re-route to replica 1, each miss feeding the breaker.

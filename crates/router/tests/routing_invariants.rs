@@ -155,7 +155,7 @@ fn lost_replica_demotes_and_rerouted_traffic_completes_fully() {
     let router = ShardRouter::start(cfg);
 
     // Sticky-lose every device of replica (0, 0): the first task each
-    // device touches fails Lost, which quarantines it permanently.
+    // device touches fails Lost, which opens its breaker for good.
     let victim = router.replica(0, 0);
     for d in 0..victim.engine().gpus() {
         victim

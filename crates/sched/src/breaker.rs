@@ -1,30 +1,44 @@
-//! Per-target circuit breakers over a rolling outcome window.
+//! Per-target circuit breakers over a rolling outcome window — the one
+//! failure state machine of the stack.
 //!
-//! The health ladder ([`crate::health`]) reacts to *device* failures
-//! observed inside one engine; a routing tier also needs protection
-//! against a **replica** that keeps erring or straggling while its
-//! devices still look individually healthy. A [`CircuitBreaker`]
-//! generalizes the demotion bit into the classic three-state machine:
+//! Placement must react to failures, not just queue depth: a target
+//! refusing every request still looks attractively idle to a load
+//! balancer, which would keep feeding it work that only comes back as
+//! retries. The [`crate::Scheduler`] keeps one breaker per simulated
+//! device and the routing tier keeps one per replica; both run the
+//! classic three-state machine:
 //!
 //! ```text
 //!            failure rate ≥ threshold
 //!            (≥ min_samples in window)
-//!   Closed ───────────────────────────► Open
-//!     ▲                                  │ cooldown elapses
-//!     │ probe succeeds                   ▼
+//!   Closed ───────────────────────────► Open ◄─────── lose() (forever)
+//!     ▲                                  │ cooldown elapsed
+//!     │ probe succeeds                   │ and nothing in flight
+//!     │                                  ▼
 //!     └────────────────────────────── HalfOpen ──► Open (probe fails)
 //! ```
 //!
-//! While Open, every [`CircuitBreaker::allow`] is refused; once the
-//! cooldown elapses the breaker moves to HalfOpen and grants exactly
-//! **one** probe. The probe's outcome decides: success closes the
-//! breaker (window reset), failure re-opens it for another cooldown.
+//! While Open, every [`CircuitBreaker::allow`] is refused. Once the
+//! cooldown has elapsed, the first caller that finds **nothing in
+//! flight** on the target moves the breaker to HalfOpen and is granted
+//! the probe. HalfOpen keeps admitting only while nothing is in flight,
+//! so exactly one probe runs at a time — and a probe that was granted
+//! but never placed (the caller routed elsewhere, or a peer stole the
+//! task) does not strand the breaker: the next caller that sees the
+//! target idle is granted a fresh one. The probe's outcome decides:
+//! success closes the breaker (window reset), failure re-opens it for
+//! another cooldown. [`CircuitBreaker::lose`] opens a breaker for good
+//! (a device that is gone): its cooldown never elapses.
 //!
 //! Time is an explicit `now` in clock seconds (a
 //! [`desim::VirtualClock`] reading) rather than `Instant`, so breaker
-//! decisions replay deterministically under a manual test clock.
+//! decisions replay deterministically under a manual test clock. The
+//! state is mirrored in an atomic, so a Closed breaker answers
+//! [`CircuitBreaker::state`] without taking its lock; hot paths check
+//! for Closed first and read the clock only for a breaker that is not.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// The breaker's position in the state machine.
@@ -32,9 +46,10 @@ use std::sync::{Mutex, PoisonError};
 pub enum BreakerState {
     /// Traffic flows; outcomes feed the rolling window.
     Closed,
-    /// Traffic refused until the cooldown elapses.
+    /// Traffic refused until the cooldown elapses (forever once lost).
     Open,
-    /// One probe is in flight; its outcome decides the next state.
+    /// On trial: one probe at a time; its outcome decides the next
+    /// state.
     HalfOpen,
 }
 
@@ -46,6 +61,14 @@ impl BreakerState {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
             BreakerState::HalfOpen => "half_open",
+        }
+    }
+
+    fn from_u8(raw: u8) -> BreakerState {
+        match raw {
+            0 => BreakerState::Closed,
+            1 => BreakerState::Open,
+            _ => BreakerState::HalfOpen,
         }
     }
 }
@@ -60,7 +83,7 @@ pub struct BreakerConfig {
     /// Minimum outcomes in the window before it may trip (a single
     /// early failure must not open a cold breaker).
     pub min_samples: usize,
-    /// Seconds the breaker stays Open before granting a probe.
+    /// Clock seconds the breaker stays Open before granting a probe.
     pub cooldown_s: f64,
 }
 
@@ -86,22 +109,38 @@ pub struct BreakerCounters {
     pub closes: u64,
 }
 
+impl std::iter::Sum for BreakerCounters {
+    fn sum<I: Iterator<Item = BreakerCounters>>(iter: I) -> BreakerCounters {
+        iter.fold(BreakerCounters::default(), |a, b| BreakerCounters {
+            opens: a.opens + b.opens,
+            half_opens: a.half_opens + b.half_opens,
+            closes: a.closes + b.closes,
+        })
+    }
+}
+
 #[derive(Debug)]
 struct BreakerInner {
-    state: BreakerState,
     /// Rolling outcomes, `true` = failure.
     window: VecDeque<bool>,
     failures: usize,
-    /// Clock second the breaker last opened.
+    /// Clock second the breaker last opened (`+∞` once lost, so the
+    /// cooldown never elapses).
     opened_at: f64,
     counters: BreakerCounters,
 }
 
 /// One breaker guarding one target (module docs). Thread-safe; every
-/// method takes the current clock seconds explicitly.
+/// method that may change state takes the current clock seconds
+/// explicitly.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
+    /// The [`BreakerState`] as `u8`: stored (Release) only under
+    /// `inner`'s lock, loaded (Acquire) without it. A lock-free reader
+    /// acts on nothing but the state itself; anything that also needs
+    /// the window or the open time re-reads the state under the lock.
+    state: AtomicU8,
     inner: Mutex<BreakerInner>,
 }
 
@@ -111,8 +150,8 @@ impl CircuitBreaker {
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
         CircuitBreaker {
             config,
+            state: AtomicU8::new(BreakerState::Closed as u8),
             inner: Mutex::new(BreakerInner {
-                state: BreakerState::Closed,
                 window: VecDeque::new(),
                 failures: 0,
                 opened_at: 0.0,
@@ -125,23 +164,31 @@ impl CircuitBreaker {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// May traffic flow to the target right now? Closed: yes. Open:
-    /// no — unless the cooldown has elapsed, which moves the breaker to
-    /// HalfOpen and grants this caller the single probe. HalfOpen: no
-    /// (the probe is already out).
-    pub fn allow(&self, now: f64) -> bool {
+    fn set(&self, state: BreakerState) {
+        self.state.store(state as u8, Ordering::Release);
+    }
+
+    /// May new work go to the target right now, given `in_flight` work
+    /// already outstanding on it? Closed: yes. Open: no — unless the
+    /// cooldown has elapsed and nothing is in flight, which moves the
+    /// breaker to HalfOpen and grants this caller the probe. HalfOpen:
+    /// only while nothing is in flight (one probe at a time; a granted
+    /// probe that never arrived is re-granted).
+    pub fn allow(&self, now: f64, in_flight: u64) -> bool {
+        if self.state() == BreakerState::Closed {
+            return true;
+        }
         let mut inner = self.lock();
-        match inner.state {
+        match self.state() {
             BreakerState::Closed => true,
-            BreakerState::HalfOpen => false,
+            BreakerState::HalfOpen => in_flight == 0,
             BreakerState::Open => {
-                if now - inner.opened_at >= self.config.cooldown_s {
-                    inner.state = BreakerState::HalfOpen;
-                    inner.counters.half_opens += 1;
-                    true
-                } else {
-                    false
+                if in_flight > 0 || now - inner.opened_at < self.config.cooldown_s {
+                    return false;
                 }
+                self.set(BreakerState::HalfOpen);
+                inner.counters.half_opens += 1;
+                true
             }
         }
     }
@@ -156,15 +203,25 @@ impl CircuitBreaker {
         self.record(now, true);
     }
 
+    /// The target is gone for good: open the breaker with a cooldown
+    /// that never elapses.
+    pub fn lose(&self) {
+        let mut inner = self.lock();
+        if self.state() != BreakerState::Open {
+            self.open(&mut inner, 0.0);
+        }
+        inner.opened_at = f64::INFINITY;
+    }
+
     fn record(&self, now: f64, failed: bool) {
         let mut inner = self.lock();
-        match inner.state {
+        match self.state() {
             BreakerState::HalfOpen => {
                 // The probe's verdict.
                 if failed {
-                    inner.open(now);
+                    self.open(&mut inner, now);
                 } else {
-                    inner.state = BreakerState::Closed;
+                    self.set(BreakerState::Closed);
                     inner.window.clear();
                     inner.failures = 0;
                     inner.counters.closes += 1;
@@ -184,36 +241,34 @@ impl CircuitBreaker {
                 if n >= self.config.min_samples.max(1)
                     && inner.failures as f64 >= self.config.failure_threshold * n as f64
                 {
-                    inner.open(now);
+                    self.open(&mut inner, now);
                 }
             }
-            // Late outcomes of requests that were in flight when the
-            // breaker opened carry no new information.
+            // Late outcomes of work that was in flight when the breaker
+            // opened carry no new information.
             BreakerState::Open => {}
         }
+    }
+
+    fn open(&self, inner: &mut BreakerInner, now: f64) {
+        self.set(BreakerState::Open);
+        inner.opened_at = now;
+        inner.window.clear();
+        inner.failures = 0;
+        inner.counters.opens += 1;
     }
 
     /// The current state (Open is reported as-is even when the cooldown
     /// has elapsed — only [`allow`](Self::allow) moves the machine).
     #[must_use]
     pub fn state(&self) -> BreakerState {
-        self.lock().state
+        BreakerState::from_u8(self.state.load(Ordering::Acquire))
     }
 
     /// Lifetime transition counters.
     #[must_use]
     pub fn counters(&self) -> BreakerCounters {
         self.lock().counters
-    }
-}
-
-impl BreakerInner {
-    fn open(&mut self, now: f64) {
-        self.state = BreakerState::Open;
-        self.opened_at = now;
-        self.window.clear();
-        self.failures = 0;
-        self.counters.opens += 1;
     }
 }
 
@@ -230,11 +285,19 @@ mod tests {
         }
     }
 
+    fn tripped() -> CircuitBreaker {
+        let b = CircuitBreaker::new(fast());
+        for _ in 0..4 {
+            b.record_failure(0.0);
+        }
+        b
+    }
+
     #[test]
     fn stays_closed_under_sparse_failures() {
         let b = CircuitBreaker::new(fast());
         for i in 0..32 {
-            assert!(b.allow(i as f64 * 0.01));
+            assert!(b.allow(i as f64 * 0.01, 0));
             if i % 4 == 0 {
                 b.record_failure(i as f64 * 0.01);
             } else {
@@ -256,33 +319,70 @@ mod tests {
         b.record_failure(0.0);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.counters().opens, 1);
-        assert!(!b.allow(0.5), "cooldown not elapsed");
+        assert!(!b.allow(0.5, 0), "cooldown not elapsed");
     }
 
     #[test]
     fn half_open_grants_exactly_one_probe() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..4 {
-            b.record_failure(0.0);
-        }
-        assert!(b.allow(1.5), "cooldown elapsed: the probe");
+        let b = tripped();
+        assert!(b.allow(1.5, 0), "cooldown elapsed: the probe");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(1.6), "second caller refused while probing");
-        assert!(!b.allow(99.0), "time alone cannot mint more probes");
+        assert!(!b.allow(1.6, 1), "second caller refused while probing");
+        assert!(!b.allow(99.0, 1), "time alone cannot mint more probes");
         assert_eq!(b.counters().half_opens, 1);
     }
 
     #[test]
-    fn probe_success_closes_probe_failure_reopens() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..4 {
-            b.record_failure(0.0);
+    fn half_open_admits_only_with_nothing_in_flight() {
+        let b = tripped();
+        assert!(!b.allow(1.5, 2), "work still in flight: no probe yet");
+        assert_eq!(b.state(), BreakerState::Open, "no probe, no transition");
+        assert_eq!(b.counters().half_opens, 0);
+        assert!(b.allow(1.5, 0), "drained: the probe");
+        for in_flight in 1..4 {
+            assert!(!b.allow(2.0, in_flight), "the probe is out");
         }
-        assert!(b.allow(1.5));
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+    }
+
+    #[test]
+    fn unplaced_probe_is_granted_again() {
+        // The probe's caller routed elsewhere (or a peer stole the
+        // task): nothing ever reached the target, so nothing will ever
+        // record a verdict. The next caller that finds it idle probes.
+        let b = tripped();
+        assert!(b.allow(1.5, 0));
+        assert!(b.allow(1.6, 0), "nothing in flight: re-granted");
+        assert_eq!(b.counters().half_opens, 1, "still one transition");
+        b.record_success(1.7);
+        assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn lost_target_never_half_opens() {
+        let b = CircuitBreaker::new(fast());
+        b.lose();
+        assert_eq!(b.state(), BreakerState::Open);
+        for now in [1.0, 1e3, 1e9, f64::MAX] {
+            assert!(!b.allow(now, 0), "a lost target never probes (t={now})");
+        }
+        b.record_success(2.0);
+        assert_eq!(b.state(), BreakerState::Open, "late outcomes ignored");
+        // Losing an already-open breaker counts no second open.
+        let tripped = tripped();
+        tripped.lose();
+        assert!(!tripped.allow(5.0, 0));
+        assert_eq!(tripped.counters().opens, 1);
+    }
+
+    #[test]
+    fn probe_success_closes_probe_failure_reopens() {
+        let b = tripped();
+        assert!(b.allow(1.5, 0));
         b.record_failure(1.6); // probe fails
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow(2.0), "new cooldown restarts from the re-open");
-        assert!(b.allow(2.7));
+        assert!(!b.allow(2.0, 0), "new cooldown restarts from the re-open");
+        assert!(b.allow(2.7, 0));
         b.record_success(2.8); // probe succeeds
         assert_eq!(b.state(), BreakerState::Closed);
         let c = b.counters();
@@ -320,12 +420,31 @@ mod tests {
 
     #[test]
     fn outcomes_while_open_are_ignored() {
-        let b = CircuitBreaker::new(fast());
-        for _ in 0..4 {
-            b.record_failure(0.0);
-        }
+        let b = tripped();
         b.record_success(0.1); // straggler reply from before the trip
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.allow(1.5), "cooldown still measured from the open");
+        assert!(b.allow(1.5, 0), "cooldown still measured from the open");
+    }
+
+    #[test]
+    fn flapping_target_trips_on_rate_without_a_streak() {
+        // Alternating outcomes never build a streak, but half the
+        // window failing is at the threshold.
+        let b = CircuitBreaker::new(fast());
+        for _ in 0..2 {
+            b.record_success(0.0);
+            b.record_failure(0.0);
+        }
+        assert_eq!(b.state(), BreakerState::Open, "50% failure rate trips");
+    }
+
+    #[test]
+    fn counters_sum_across_breakers() {
+        let a = tripped();
+        let b = tripped();
+        assert!(b.allow(1.5, 0));
+        b.record_success(1.6);
+        let total: BreakerCounters = [a.counters(), b.counters()].into_iter().sum();
+        assert_eq!((total.opens, total.half_opens, total.closes), (2, 1, 1));
     }
 }

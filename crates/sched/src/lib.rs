@@ -35,12 +35,14 @@
 //!   measured per-task device seconds, keyed by workload class;
 //! * [`tuner`] — the resident [`OnlineTuner`] controller that promotes
 //!   the one-shot autotune sweep to continuous epoch-based retuning of
-//!   the live runtime knobs ([`TunerKnobs`]).
+//!   the live runtime knobs ([`TunerKnobs`]);
+//! * [`breaker`] — the per-target [`CircuitBreaker`] that takes a
+//!   failing device (or, at the routing tier, replica) out of
+//!   placement and lets it back in on a probe.
 
 pub mod autotune;
 pub mod breaker;
 pub mod cost;
-pub mod health;
 pub mod policy;
 pub mod steal;
 pub mod tuner;
@@ -48,7 +50,6 @@ pub mod tuner;
 pub use autotune::AutoTuner;
 pub use breaker::{BreakerConfig, BreakerCounters, BreakerState, CircuitBreaker};
 pub use cost::{CostKey, CostModel};
-pub use health::{HealthConfig, HealthSnapshot, HealthState, HealthTracker};
 pub use policy::{
     select_device, select_device_for, select_device_with, select_device_work_aware, SchedPolicy,
     Selection, TieBreak,
@@ -92,6 +93,9 @@ impl TuningConfig {
     }
 }
 
+use std::sync::Arc;
+
+use desim::VirtualClock;
 use mpi_sim::SharedRegion;
 
 /// Identifier of a GPU device managed by a [`Scheduler`].
@@ -137,14 +141,10 @@ pub struct SchedulerSnapshot {
     /// Staged device tasks pulled back to the CPU-fallback path
     /// ([`Scheduler::release_to_cpu`]).
     pub cpu_steals: u64,
-    /// Current health ladder state per device.
-    pub health: Vec<HealthState>,
-    /// Total `→ Quarantined` transitions across devices.
-    pub quarantines: u64,
-    /// Total `Quarantined → Probation` re-admissions.
-    pub probations: u64,
-    /// Total `Probation → Healthy` recoveries (full ladder cycles).
-    pub recoveries: u64,
+    /// Current breaker state per device.
+    pub breakers: Vec<BreakerState>,
+    /// Breaker transitions summed across devices.
+    pub breaker_counters: BreakerCounters,
     /// Measured-vs-static cost residual EWMA in milli-units (1000 =
     /// the static model mispredicts by 100%); `0` until the engine's
     /// [`CostModel`] has observations. Filled by the engine layer — a
@@ -228,7 +228,10 @@ pub struct Scheduler {
     devices: usize,
     max_queue_len: u64,
     policy: SchedPolicy,
-    health: HealthTracker,
+    /// One breaker per device, shared by every clone.
+    breakers: Arc<Vec<CircuitBreaker>>,
+    /// The clock breaker cooldowns are measured on.
+    clock: VirtualClock,
 }
 
 impl Scheduler {
@@ -245,44 +248,80 @@ impl Scheduler {
     /// ([`SchedPolicy::PaperCount`] is the paper-ablation baseline).
     #[must_use]
     pub fn with_policy(devices: usize, max_queue_len: u64, policy: SchedPolicy) -> Scheduler {
-        Scheduler::with_health(devices, max_queue_len, policy, HealthConfig::default())
+        Scheduler::with_breakers(
+            devices,
+            max_queue_len,
+            policy,
+            BreakerConfig::default(),
+            VirtualClock::real(),
+        )
     }
 
-    /// [`Scheduler::with_policy`] with explicit health-ladder
-    /// thresholds (tests and chaos runs shrink the cooldowns).
+    /// [`Scheduler::with_policy`] with explicit per-device breaker
+    /// tuning and the clock its cooldowns run on (tests and chaos runs
+    /// pass a manual clock and advance it).
     #[must_use]
-    pub fn with_health(
+    pub fn with_breakers(
         devices: usize,
         max_queue_len: u64,
         policy: SchedPolicy,
-        health: HealthConfig,
+        breaker: BreakerConfig,
+        clock: VirtualClock,
     ) -> Scheduler {
         Scheduler {
             region: SharedRegion::new(6 * devices + 1),
             devices,
             max_queue_len: max_queue_len.max(1),
             policy,
-            health: HealthTracker::new(devices, health),
+            breakers: Arc::new((0..devices).map(|_| CircuitBreaker::new(breaker)).collect()),
+            clock,
         }
     }
 
-    /// The per-device health state machine. The runtime records task
-    /// successes/failures here; placement consults it automatically.
+    /// The breaker guarding `device`.
+    ///
+    /// # Panics
+    /// Panics if `device` is out of range.
     #[must_use]
-    pub fn health(&self) -> &HealthTracker {
-        &self.health
+    pub fn breaker(&self, device: DeviceId) -> &CircuitBreaker {
+        &self.breakers[device.0]
     }
 
-    /// Whether `device` may receive new work right now (healthy or
-    /// degraded; on probation only while idle; never while
-    /// quarantined). Consumers check this before stealing for
-    /// themselves.
+    /// Record a successful task on `device` at the clock's now.
+    pub fn record_success(&self, device: DeviceId) {
+        self.breaker(device).record_success(self.clock.now());
+    }
+
+    /// Record a failed task attempt on `device` at the clock's now.
+    pub fn record_failure(&self, device: DeviceId) {
+        self.breaker(device).record_failure(self.clock.now());
+    }
+
+    /// Whether every device's breaker is Open — the routing tier's
+    /// demotion signal. `false` with no devices at all (a CPU-only
+    /// scheduler is degraded by construction, not by faults).
+    #[must_use]
+    pub fn all_open(&self) -> bool {
+        !self.breakers.is_empty()
+            && self
+                .breakers
+                .iter()
+                .all(|b| b.state() == BreakerState::Open)
+    }
+
+    /// Whether `device`, with `load` grants outstanding, may receive new
+    /// work now. A Closed breaker answers without reading the clock.
+    fn admits(&self, device: usize, load: u64) -> bool {
+        let breaker = &self.breakers[device];
+        breaker.state() == BreakerState::Closed || breaker.allow(self.clock.now(), load)
+    }
+
+    /// Whether `device` may receive new work right now: its breaker is
+    /// Closed, or grants it a probe (see [`CircuitBreaker::allow`]).
+    /// Consumers check this before stealing for themselves.
     #[must_use]
     pub fn device_eligible(&self, device: DeviceId) -> bool {
-        device.0 < self.devices
-            && self
-                .health
-                .placement_eligible(device.0, self.region.load(device.0))
+        device.0 < self.devices && self.admits(device.0, self.region.load(device.0))
     }
 
     /// Number of managed devices.
@@ -336,16 +375,16 @@ impl Scheduler {
                     (weighted * self.rate(i) * RATE_SCALE) as u64
                 })
                 .collect();
-            // Health mask: sick devices are presented to the (pure,
-            // health-unaware) policy as full, so quarantined cards drop
-            // out of placement and probation cards admit one probe. The
-            // CAS below still uses the *real* load — an eligible
-            // device's masked and real loads agree.
+            // Breaker mask: devices whose breaker refuses are
+            // presented to the (pure, breaker-unaware) policy as full,
+            // so Open cards drop out of placement and HalfOpen cards
+            // admit one probe. The CAS below still uses the *real*
+            // load — an eligible device's masked and real loads agree.
             let masked: Vec<u64> = loads
                 .iter()
                 .enumerate()
                 .map(|(i, &l)| {
-                    if self.health.placement_eligible(i, l) {
+                    if self.admits(i, l) {
                         l
                     } else {
                         self.max_queue_len
@@ -543,7 +582,6 @@ impl Scheduler {
     pub fn snapshot(&self) -> SchedulerSnapshot {
         let snap = self.region.snapshot();
         let d = self.devices;
-        let health = self.health.snapshot();
         SchedulerSnapshot {
             loads: snap[..d].to_vec(),
             histories: snap[d..2 * d].to_vec(),
@@ -551,10 +589,8 @@ impl Scheduler {
             weighted_histories: snap[3 * d..4 * d].to_vec(),
             steals: snap[4 * d..5 * d].to_vec(),
             cpu_steals: snap[6 * d],
-            health: health.states,
-            quarantines: health.quarantines,
-            probations: health.probations,
-            recoveries: health.recoveries,
+            breakers: self.breakers.iter().map(CircuitBreaker::state).collect(),
+            breaker_counters: self.breakers.iter().map(CircuitBreaker::counters).sum(),
             cost_residual_milli: 0,
             cost_observations: 0,
             tuner: None,
@@ -851,14 +887,21 @@ mod tests {
         assert!(snap.total_steals() > 0, "contended run must have stolen");
     }
 
+    /// Two devices whose breakers cool down for 1 s of a manual clock.
+    fn manual_breakers() -> (Scheduler, VirtualClock) {
+        let clock = VirtualClock::manual();
+        let breaker = BreakerConfig {
+            cooldown_s: 1.0,
+            ..BreakerConfig::default()
+        };
+        let s = Scheduler::with_breakers(2, 4, SchedPolicy::CostAware, breaker, clock.clone());
+        (s, clock)
+    }
+
     #[test]
     fn quarantined_devices_drop_out_of_placement() {
-        let cfg = HealthConfig {
-            probation_cooldown: std::time::Duration::from_secs(3600),
-            ..HealthConfig::default()
-        };
-        let s = Scheduler::with_health(2, 4, SchedPolicy::CostAware, cfg);
-        s.health().mark_lost(0);
+        let (s, clock) = manual_breakers();
+        s.breaker(DeviceId(0)).lose();
         for _ in 0..4 {
             let g = s.alloc().expect("healthy peer has room");
             assert_eq!(g.device, DeviceId(1), "lost device must not place");
@@ -866,30 +909,30 @@ mod tests {
         }
         assert!(!s.device_eligible(DeviceId(0)));
         assert!(s.device_eligible(DeviceId(1)));
-        s.health().mark_lost(1);
-        assert!(s.alloc().is_none(), "all devices sick -> CPU fallback");
+        assert!(!s.all_open());
+        s.breaker(DeviceId(1)).lose();
+        clock.advance(1e6);
+        assert!(s.alloc().is_none(), "all devices lost -> CPU fallback");
+        assert!(s.all_open());
         let snap = s.snapshot();
-        assert_eq!(
-            snap.health,
-            vec![HealthState::Quarantined, HealthState::Quarantined]
-        );
-        assert_eq!(snap.quarantines, 2);
+        assert_eq!(snap.breakers, vec![BreakerState::Open, BreakerState::Open]);
+        assert_eq!(snap.breaker_counters.opens, 2);
+        assert_eq!(snap.breaker_counters.half_opens, 0, "lost never probes");
     }
 
     #[test]
     fn probation_admits_one_probe_at_a_time() {
-        let cfg = HealthConfig {
-            probation_cooldown: std::time::Duration::from_millis(1),
-            ..HealthConfig::default()
-        };
-        let s = Scheduler::with_health(2, 4, SchedPolicy::CostAware, cfg);
-        for _ in 0..5 {
-            s.health().record_failure(0);
+        let (s, clock) = manual_breakers();
+        for _ in 0..4 {
+            s.record_failure(DeviceId(0));
         }
-        assert_eq!(s.health().state(0), HealthState::Quarantined);
-        std::thread::sleep(std::time::Duration::from_millis(3));
-        // Past the cooldown the device re-enters as probation: it may
-        // take exactly one task until that probe completes.
+        assert_eq!(s.breaker(DeviceId(0)).state(), BreakerState::Open);
+        let g = s.alloc().expect("room on the closed peer");
+        assert_eq!(g.device, DeviceId(1), "open device must not place");
+        s.free(g);
+        clock.advance(1.0);
+        // Past the cooldown the device re-enters half-open: it may take
+        // exactly one task until that probe completes.
         let mut grants = Vec::new();
         let mut on_zero = 0;
         for _ in 0..4 {
@@ -899,11 +942,16 @@ mod tests {
             }
             grants.push(g);
         }
-        assert_eq!(on_zero, 1, "probation admits a single probe");
-        assert_eq!(s.health().state(0), HealthState::Probation);
+        assert_eq!(on_zero, 1, "half-open admits a single probe");
+        assert_eq!(s.breaker(DeviceId(0)).state(), BreakerState::HalfOpen);
         for g in grants {
             s.free(g);
         }
+        s.record_success(DeviceId(0));
+        let snap = s.snapshot();
+        assert_eq!(snap.breakers, vec![BreakerState::Closed; 2]);
+        let c = snap.breaker_counters;
+        assert_eq!((c.opens, c.half_opens, c.closes), (1, 1, 1));
     }
 
     #[test]

@@ -407,25 +407,39 @@ mod tests {
         assert_eq!(q.next(1, true), Next::Closed);
     }
 
+    /// Spawn a consumer that hand-shakes on a barrier before blocking
+    /// in `next`, so the caller's stage/close races a consumer that is
+    /// already on its way into the wait rather than one not yet started.
+    fn consumer(
+        q: &StealQueues<u32>,
+        can_steal: bool,
+    ) -> (std::thread::JoinHandle<Next<u32>>, Arc<std::sync::Barrier>) {
+        let ready = Arc::new(std::sync::Barrier::new(2));
+        let (qc, rc) = (q.clone(), Arc::clone(&ready));
+        let handle = std::thread::spawn(move || {
+            rc.wait();
+            qc.next(0, can_steal)
+        });
+        (handle, ready)
+    }
+
     #[test]
     fn blocked_consumer_wakes_on_stage() {
         let q: StealQueues<u32> = StealQueues::new(1);
-        let qc = q.clone();
-        let consumer = std::thread::spawn(move || match qc.next(0, false) {
-            Next::Local(t) => t.item,
-            other => panic!("{other:?}"),
-        });
-        std::thread::sleep(Duration::from_millis(10));
+        let (consumer, ready) = consumer(&q, false);
+        ready.wait();
         q.stage(0, 1, 42);
-        assert_eq!(consumer.join().unwrap(), 42);
+        match consumer.join().unwrap() {
+            Next::Local(t) => assert_eq!(t.item, 42),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn blocked_consumer_wakes_on_close() {
         let q: StealQueues<u32> = StealQueues::new(1);
-        let qc = q.clone();
-        let consumer = std::thread::spawn(move || qc.next(0, true));
-        std::thread::sleep(Duration::from_millis(10));
+        let (consumer, ready) = consumer(&q, true);
+        ready.wait();
         q.close();
         assert_eq!(consumer.join().unwrap(), Next::Closed);
     }

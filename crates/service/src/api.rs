@@ -41,7 +41,8 @@ pub struct SpectrumRequest {
     /// Priority class: interactive requests dequeue ahead of bulk
     /// under the weighted-fair policy.
     pub priority: Priority,
-    /// Absolute completion deadline on the service's clock. `None`
+    /// Absolute completion deadline on the engine clock
+    /// (`EngineConfig::clock`). `None`
     /// (the default) means no SLO: never shed at admission, dequeued
     /// after every deadlined peer of the same class.
     pub deadline: Option<Deadline>,
@@ -115,7 +116,7 @@ pub enum ServiceError {
     Closed,
     /// The engine could not complete one of the request's ion partials
     /// within the service's fan-out retry budget — devices failed or
-    /// were quarantined and CPU fallback was disabled. Distinct from
+    /// their breakers were open and CPU fallback was disabled. Distinct from
     /// [`ServiceError::Overloaded`]: the request was admitted and
     /// computation was attempted.
     DeviceFailed,

@@ -39,7 +39,7 @@ pub use api::{
     AdmissionPolicy, ElementSelection, ServiceError, SpectrumRequest, SpectrumResponse, Ticket,
 };
 pub use cache::{CacheKey, CacheStats, ShardedLruCache};
-pub use metrics::{health_label, MetricsSnapshot, ServiceMetrics, StageLatency};
+pub use metrics::{MetricsSnapshot, ServiceMetrics, StageLatency};
 pub use pqueue::PriorityQueues;
 pub use quantize::{Quantizer, StateKey};
 pub use service::{

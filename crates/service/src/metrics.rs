@@ -91,14 +91,10 @@ pub struct MetricsSnapshot {
     /// Per-device outstanding weighted (cost-unit) backlog at snapshot
     /// time.
     pub scheduler_weighted_loads: Vec<u64>,
-    /// Per-device health state (fault ladder) at snapshot time.
-    pub scheduler_health: Vec<hybrid_sched::HealthState>,
-    /// Healthy/Degraded → Quarantined transitions across all devices.
-    pub scheduler_quarantines: u64,
-    /// Quarantined → Probation re-admissions across all devices.
-    pub scheduler_probations: u64,
-    /// Probation → Healthy recoveries across all devices.
-    pub scheduler_recoveries: u64,
+    /// Per-device breaker state at snapshot time.
+    pub scheduler_breakers: Vec<hybrid_sched::BreakerState>,
+    /// Device breaker transitions, summed across devices.
+    pub scheduler_breaker_counters: hybrid_sched::BreakerCounters,
     /// Mean absolute measured-vs-static cost residual across the
     /// online cost model's tracked classes, in milli cost units
     /// (`0` until the first measured settle).
@@ -135,10 +131,8 @@ impl MetricsSnapshot {
         self.scheduler_steals = sched.steals.clone();
         self.scheduler_cpu_steals = sched.cpu_steals;
         self.scheduler_weighted_loads = sched.weighted_loads.clone();
-        self.scheduler_health = sched.health.clone();
-        self.scheduler_quarantines = sched.quarantines;
-        self.scheduler_probations = sched.probations;
-        self.scheduler_recoveries = sched.recoveries;
+        self.scheduler_breakers = sched.breakers.clone();
+        self.scheduler_breaker_counters = sched.breaker_counters;
         self.scheduler_cost_residual_milli = sched.cost_residual_milli;
         self.scheduler_cost_observations = sched.cost_observations;
         self.scheduler_tuner = sched.tuner.clone();
@@ -147,7 +141,7 @@ impl MetricsSnapshot {
 
     /// The operator-facing JSON rendering of this snapshot — a
     /// **stable contract** (keys sorted by `jsonlite`'s object
-    /// ordering, health states lowercased). The router rolls these
+    /// ordering, breaker states lowercased). The router rolls these
     /// per-shard documents into its own snapshot; changing a key or
     /// shape here must update the golden file in `rrc-router`.
     #[must_use]
@@ -192,15 +186,18 @@ impl MetricsSnapshot {
                     .field("cpu_steals", self.scheduler_cpu_steals)
                     .field("weighted_loads", self.scheduler_weighted_loads.clone())
                     .field(
-                        "health",
-                        self.scheduler_health
+                        "breakers",
+                        self.scheduler_breakers
                             .iter()
-                            .map(|h| health_label(*h))
+                            .map(|b| b.label())
                             .collect::<Vec<_>>(),
                     )
-                    .field("quarantines", self.scheduler_quarantines)
-                    .field("probations", self.scheduler_probations)
-                    .field("recoveries", self.scheduler_recoveries)
+                    .field("breaker_opens", self.scheduler_breaker_counters.opens)
+                    .field(
+                        "breaker_half_opens",
+                        self.scheduler_breaker_counters.half_opens,
+                    )
+                    .field("breaker_closes", self.scheduler_breaker_counters.closes)
                     .field("cost_observations", self.scheduler_cost_observations)
                     .field("cost_residual_milli", self.scheduler_cost_residual_milli)
                     .field("tuner", tuner_json(self.scheduler_tuner.as_ref()))
@@ -235,17 +232,6 @@ pub fn tuner_json(tuner: Option<&hybrid_sched::TunerSnapshot>) -> jsonlite::Valu
             );
     }
     builder.build()
-}
-
-/// The stable lowercase label of a health state in JSON exports.
-#[must_use]
-pub fn health_label(state: hybrid_sched::HealthState) -> &'static str {
-    match state {
-        hybrid_sched::HealthState::Healthy => "healthy",
-        hybrid_sched::HealthState::Degraded => "degraded",
-        hybrid_sched::HealthState::Quarantined => "quarantined",
-        hybrid_sched::HealthState::Probation => "probation",
-    }
 }
 
 /// p50/p95/p99 + mean of one lifecycle stage, in seconds.
@@ -398,10 +384,8 @@ impl ServiceMetrics {
             scheduler_steals: Vec::new(),
             scheduler_cpu_steals: 0,
             scheduler_weighted_loads: Vec::new(),
-            scheduler_health: Vec::new(),
-            scheduler_quarantines: 0,
-            scheduler_probations: 0,
-            scheduler_recoveries: 0,
+            scheduler_breakers: Vec::new(),
+            scheduler_breaker_counters: hybrid_sched::BreakerCounters::default(),
             scheduler_cost_residual_milli: 0,
             scheduler_cost_observations: 0,
             scheduler_tuner: None,

@@ -60,10 +60,6 @@ pub struct ServiceConfig {
     /// bulk one while both classes are backlogged (floored at 1 — bulk
     /// never starves).
     pub interactive_weight: u32,
-    /// The clock request deadlines are measured against. Production
-    /// uses [`VirtualClock::real`]; deterministic tests install a
-    /// manual clock and advance it explicitly.
-    pub clock: VirtualClock,
     /// Most requests one batch may coalesce.
     pub max_batch: usize,
     /// How many times a batch re-fans-out ion partials the engine
@@ -93,7 +89,6 @@ impl ServiceConfig {
             request_queue_depth: 64,
             bulk_queue_depth: 64,
             interactive_weight: 4,
-            clock: VirtualClock::real(),
             max_batch: 16,
             fanout_retries: 2,
         }
@@ -123,7 +118,6 @@ struct Shared {
     bin_tables: Vec<Arc<Vec<(f64, f64)>>>,
     fanout_retries: u32,
     queue: PriorityQueues<QueuedRequest>,
-    clock: VirtualClock,
     engine: Engine,
     cache: ShardedLruCache,
     metrics: Arc<ServiceMetrics>,
@@ -229,7 +223,6 @@ impl SpectralService {
                 ],
                 config.interactive_weight,
             ),
-            clock: config.clock,
             engine,
             cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
             metrics,
@@ -280,7 +273,7 @@ impl SpectralService {
         }
         if let Some(deadline) = request.deadline {
             let estimate = estimate_request_seconds(shared, &request);
-            if deadline.remaining(&shared.clock) < estimate {
+            if deadline.remaining(&shared.engine.config().clock) < estimate {
                 shared.metrics.on_shed_infeasible();
                 return Err(ServiceError::DeadlineInfeasible);
             }
@@ -333,10 +326,11 @@ impl SpectralService {
         self.shared().queue.capacity(Priority::Interactive)
     }
 
-    /// The clock this service measures request deadlines against.
+    /// The clock this service measures request deadlines against (the
+    /// engine's [`EngineConfig::clock`]).
     #[must_use]
     pub fn clock(&self) -> &VirtualClock {
-        &self.shared().clock
+        &self.shared().engine.config().clock
     }
 
     /// Live metrics snapshot, including the scheduler's steal counters

@@ -45,7 +45,7 @@ fn request(i: usize) -> SpectrumRequest {
 fn expired_deadline_sheds_typed_before_any_fanout() {
     let clock = VirtualClock::manual();
     let mut cfg = config();
-    cfg.clock = clock.clone();
+    cfg.engine.clock = clock.clone();
     let service = SpectralService::start(cfg);
     clock.advance(2.0);
 
@@ -82,7 +82,7 @@ fn expired_deadline_sheds_typed_before_any_fanout() {
 fn warmed_estimate_sheds_zero_budget_deadline() {
     let clock = VirtualClock::manual();
     let mut cfg = config();
-    cfg.clock = clock.clone();
+    cfg.engine.clock = clock.clone();
     let service = SpectralService::start(cfg);
 
     // Cold start is deliberately optimistic (estimate 0 until the

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
 use gpu_sim::FaultPlan;
-use hybrid_sched::HealthConfig;
+use hybrid_sched::BreakerConfig;
 use hybrid_spectral::ResilienceConfig;
 use rrc_service::{
     ElementSelection, ServiceConfig, ServiceError, SpectralService, SpectrumRequest,
@@ -96,7 +96,7 @@ fn faulty_devices_degrade_to_cpu_with_bitwise_parity() {
     }
     let metrics = service.metrics();
     assert_eq!(metrics.device_failures, 0);
-    assert_eq!(metrics.scheduler_health.len(), 2);
+    assert_eq!(metrics.scheduler_breakers.len(), 2);
     let report = service.shutdown();
     assert_eq!(report.engine.leaked_grants, 0);
     assert!(
@@ -106,7 +106,7 @@ fn faulty_devices_degrade_to_cpu_with_bitwise_parity() {
 }
 
 /// With the CPU fallback disabled, zero retries, and a device that
-/// refuses every launch but never quarantines, dropped ion partials
+/// refuses every launch but whose breaker never opens, dropped ion partials
 /// exhaust the service's fan-out budget and the request is refused
 /// with the typed `DeviceFailed` — and the counters record both the
 /// re-fan-outs and the refusal.
@@ -125,12 +125,11 @@ fn exhausted_retry_budget_surfaces_typed_device_failed() {
         backoff: Duration::ZERO,
         cpu_fallback_on_fault: false,
         // Keep the sick device eligible forever so every fan-out lands
-        // on it and is dropped (the quarantine ladder would otherwise
-        // divert the retries to the healthy CPU path).
-        health: HealthConfig {
-            quarantine_after: u32::MAX,
-            error_rate_threshold: 2.0,
-            ..HealthConfig::default()
+        // on it and is dropped (an open breaker would otherwise divert
+        // the retries to the healthy CPU path).
+        breaker: BreakerConfig {
+            failure_threshold: 2.0,
+            ..BreakerConfig::default()
         },
         ..ResilienceConfig::default()
     };

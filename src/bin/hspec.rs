@@ -317,12 +317,16 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
     if !faults_raw.is_empty() {
         println!(
             "fault ladder: {} faults, {} retries, {} CPU fallbacks, \
-             {} quarantine(s); device health {:?}",
+             {} breaker open(s); device breakers {:?}",
             report.task_faults,
             report.task_retries,
             report.fault_cpu_fallbacks,
-            report.quarantines,
-            report.device_health
+            report.breaker_counters.opens,
+            report
+                .device_breakers
+                .iter()
+                .map(|b| b.label())
+                .collect::<Vec<_>>()
         );
     }
     let series = spectrum.normalized().wavelength_series();
