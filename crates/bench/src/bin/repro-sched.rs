@@ -1,8 +1,8 @@
 //! Regenerate `BENCH_sched.json`: acceptance gates for cost-aware
-//! weighted scheduling, bounded work stealing, and the
-//! stream-overlapped engine.
+//! weighted scheduling, bounded work stealing, measured-cost
+//! placement, and the resident engine.
 //!
-//! Two halves, both deterministic (fixed workload, no randomness):
+//! Three parts, all deterministic (fixed workload, no randomness):
 //!
 //! 1. **Placement simulation** — a discrete-event list-scheduling model
 //!    of two devices fed the full-periodic-table ion mix, with per-task
@@ -15,21 +15,26 @@
 //!    cost-aware weighted policy, and cost-aware + idle-steal. Gates:
 //!    weighted+stealing beats the paper policy by >= 1.3x on makespan,
 //!    and busy-time imbalance (max/min) shrinks by >= 2x.
-//! 2. **Engine acceptance** — the real resident engine, 2 simulated
+//! 2. **Measured-cost placement** — on a mispredicted class mix (two
+//!    task classes with identical static cost but 8x different true
+//!    cost), blending measured cost into placement must cut the device
+//!    imbalance of true seconds by >= 1.2x vs. static-only cost. Uses
+//!    the real [`Scheduler`] and [`CostModel`].
+//! 3. **Engine acceptance** — the real resident engine, 2 simulated
 //!    GPUs, deterministic single-chunk kernel, run under BOTH policies:
 //!    every ion partial must match the serial reference **bitwise**
 //!    (placement and steals change timing, never bits), and shutdown
 //!    must free every scheduler grant. Steal counters are reported.
 //!
-//! `--smoke` shrinks both halves for CI; every gate stays asserted and
-//! the JSON is still written.
+//! `--smoke` shrinks the simulation and the engine run for CI; every
+//! gate stays asserted and the JSON is still written.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use atomdb::{AtomDatabase, DatabaseConfig};
-use hybrid_sched::SchedPolicy;
+use hybrid_sched::{CostKey, CostModel, SchedPolicy, Scheduler};
 use hybrid_spectral::engine::{Engine, EngineConfig, IonJob, IonOutcome};
 use hybrid_spectral::ion_task_cost;
 use jsonlite::ObjectBuilder;
@@ -203,6 +208,49 @@ fn skewed_costs(max_z: u8, bins: usize, temperatures_k: &[f64]) -> Vec<u64> {
 
 // ---------------------------------------------------------------- part 2
 
+/// Waves of the measured-cost placement run.
+const PLACEMENT_WAVES: usize = 6;
+/// Tasks per wave (the queue bound is sized to hold a whole wave).
+const PLACEMENT_TASKS: usize = 64;
+
+/// Drive alternating heavy/light waves through the real scheduler and
+/// return the imbalance (max/min) of *true* seconds across 2 devices.
+/// `blend` = `None` places on raw static cost; `Some(model)` places on
+/// the blended estimate and feeds each settled task's measured seconds
+/// back in — the engine's settle protocol.
+fn placement_imbalance(blend: Option<&CostModel>) -> f64 {
+    // Two classes with the *same* static cost: the static model cannot
+    // tell them apart, but the heavy class truly costs 8x more.
+    let heavy = (CostKey::bucketed(2, 1, 16), 10u64, 8.0e-3f64);
+    let light = (CostKey::bucketed(20, 1, 16), 10u64, 1.0e-3f64);
+    let scheduler = Scheduler::new(2, PLACEMENT_TASKS as u64);
+    let mut device_true_s = [0.0f64; 2];
+    for _ in 0..PLACEMENT_WAVES {
+        let mut in_flight = Vec::new();
+        for t in 0..PLACEMENT_TASKS {
+            let (key, static_units, true_s) = if t % 2 == 0 { &heavy } else { &light };
+            let cost = blend.map_or(*static_units, |m| m.blended(key, *static_units));
+            let grant = scheduler
+                .alloc_cost(cost)
+                .expect("queue bound sized for the whole wave");
+            device_true_s[grant.device.0] += true_s;
+            in_flight.push((grant, *key, *static_units, *true_s));
+        }
+        for (grant, key, static_units, true_s) in in_flight {
+            if let Some(model) = blend {
+                model.observe(&key, static_units, true_s);
+            }
+            scheduler.free(grant);
+        }
+    }
+    assert_eq!(scheduler.in_flight(), 0, "placement wave leaked grants");
+    let hi = device_true_s[0].max(device_true_s[1]);
+    let lo = device_true_s[0].min(device_true_s[1]).max(1e-12);
+    hi / lo
+}
+
+// ---------------------------------------------------------------- part 3
+
 struct EngineRun {
     gpu_tasks: u64,
     cpu_tasks: u64,
@@ -340,7 +388,22 @@ fn main() {
         "imbalance gate: reduction {imbalance_reduction:.3}x, need >= 2x"
     );
 
-    // -- 2. engine acceptance under both policies --------------------------
+    // -- 2. measured-cost placement on the mispredicted mix ----------------
+    eprintln!("static vs blended placement on the mispredicted mix ...");
+    let static_imbalance = placement_imbalance(None);
+    let blended_imbalance = placement_imbalance(Some(&CostModel::new()));
+    let measured_ratio = static_imbalance / blended_imbalance.max(1e-12);
+    let measured_pass = measured_ratio >= 1.2;
+    eprintln!(
+        "  imbalance static {static_imbalance:.2} -> blended {blended_imbalance:.2} \
+         ({measured_ratio:.2}x, gate >= 1.2)"
+    );
+    assert!(
+        measured_pass,
+        "measured-cost gate: imbalance improved only {measured_ratio:.2}x, need >= 1.2x"
+    );
+
+    // -- 3. engine acceptance under both policies --------------------------
     eprintln!("engine parity (cost-aware) ...");
     let eng_cost_aware = engine_parity(SchedPolicy::CostAware, eng_max_z, eng_bins);
     eprintln!("engine parity (paper-count) ...");
@@ -403,6 +466,15 @@ fn main() {
                 .build(),
         )
         .field(
+            "measured_cost",
+            ObjectBuilder::new()
+                .field("waves", PLACEMENT_WAVES as u64)
+                .field("tasks_per_wave", PLACEMENT_TASKS as u64)
+                .field("static_imbalance", static_imbalance)
+                .field("blended_imbalance", blended_imbalance)
+                .build(),
+        )
+        .field(
             "gates",
             ObjectBuilder::new()
                 .field(
@@ -419,6 +491,14 @@ fn main() {
                         .field("value", imbalance_reduction)
                         .field("threshold", 2.0)
                         .field("pass", imbalance_pass)
+                        .build(),
+                )
+                .field(
+                    "measured_cost_placement",
+                    ObjectBuilder::new()
+                        .field("value", measured_ratio)
+                        .field("threshold", 1.2)
+                        .field("pass", measured_pass)
                         .build(),
                 )
                 .field(
@@ -451,6 +531,6 @@ fn main() {
     println!("wrote {path}");
     println!(
         "sched acceptance: speedup {speedup:.2}x, imbalance reduction {imbalance_reduction:.2}x, \
-         parity bitwise, zero leaked grants"
+         measured-cost placement {measured_ratio:.2}x, parity bitwise, zero leaked grants"
     );
 }

@@ -15,8 +15,9 @@
 //!    `virtual_busy_seconds` across each tier's engines (devices and
 //!    engines run concurrently; the busiest device bounds the tier).
 //!    Gate: ≥ 1.8× at 4 shards.
-//! 3. **Quarantine chaos** — every device of one replica is
-//!    sticky-lost under concurrent load. Gates: 100% of in-flight and
+//! 3. **Demotion chaos** — every device of one replica is
+//!    sticky-lost under concurrent load, so all its device breakers
+//!    open for good. Gates: 100% of in-flight and
 //!    subsequent requests complete (replica re-route, CPU fallback as
 //!    last resort), the victim demotes out of selection, zero leaked
 //!    grants.
@@ -226,8 +227,8 @@ fn main() {
         "aggregate throughput {throughput_ratio:.2}x below 1.8x at 4 shards"
     );
 
-    // -- 3. quarantine chaos -------------------------------------------------
-    eprintln!("quarantine chaos: sticky-lose one replica under load ...");
+    // -- 3. demotion chaos --------------------------------------------------
+    eprintln!("demotion chaos: sticky-lose one replica's devices under load ...");
     let mut cfg = RouterConfig::deterministic(Arc::clone(&db), grids.clone());
     cfg.shards = 2;
     cfg.replicas = 2;
@@ -294,7 +295,7 @@ fn main() {
         "  completed {completed}/{issued}  demoted {demoted}  leaked {}  refused {}",
         chaos_report.leaked_grants, chaos_report.snapshot.counters.device_failed
     );
-    assert!(chaos_pass, "quarantine chaos gate");
+    assert!(chaos_pass, "demotion chaos gate");
 
     // -- 4. rebalance under load ---------------------------------------------
     eprintln!("capacity rebalance under concurrent load ...");
@@ -418,7 +419,7 @@ fn main() {
                 .build(),
         )
         .field(
-            "quarantine",
+            "demotion",
             ObjectBuilder::new()
                 .field("issued", issued)
                 .field("completed", completed)
@@ -458,7 +459,7 @@ fn main() {
                         .build(),
                 )
                 .field(
-                    "quarantine_full_completion",
+                    "demotion_full_completion",
                     ObjectBuilder::new().field("pass", chaos_pass).build(),
                 )
                 .field(
@@ -487,8 +488,8 @@ fn main() {
     println!("wrote {path}");
     println!(
         "shard acceptance: bitwise parity across 6 shard/policy configs, modeled \
-         aggregate throughput {throughput_ratio:.2}x (>= 1.8x) at 4 shards, quarantine \
-         chaos {completed}/{issued} completed with demotion, rebalance migrated \
+         aggregate throughput {throughput_ratio:.2}x (>= 1.8x) at 4 shards, demotion \
+         chaos {completed}/{issued} completed with the victim demoted, rebalance migrated \
          {migrated} ions exactly-once, zero leaked grants"
     );
 }

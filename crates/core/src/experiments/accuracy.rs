@@ -97,7 +97,6 @@ pub fn run(cfg: AccuracyConfig) -> AccuracyReport {
         cpu_integrator: Integrator::paper_cpu(),
         math: quadrature::MathMode::Exact,
         resilience: crate::resilience::ResilienceConfig::default(),
-        tuning: hybrid_sched::TuningConfig::default(),
     };
     let report = HybridRunner::new(hybrid_cfg).run();
     let hybrid_spectrum = &report.spectra[0];

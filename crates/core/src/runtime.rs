@@ -68,9 +68,6 @@ pub struct HybridConfig {
     /// (see [`crate::resilience::ResilienceConfig`]; the default is
     /// fault-free).
     pub resilience: ResilienceConfig,
-    /// Online autotuning knob surface (see
-    /// [`crate::engine::EngineConfig::tuning`]; disabled by default).
-    pub tuning: hybrid_sched::TuningConfig,
 }
 
 impl HybridConfig {
@@ -100,7 +97,6 @@ impl HybridConfig {
             cpu_integrator: Integrator::paper_cpu(),
             math: MathMode::Exact,
             resilience: ResilienceConfig::default(),
-            tuning: hybrid_sched::TuningConfig::default(),
         }
     }
 }

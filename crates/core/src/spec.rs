@@ -80,19 +80,11 @@ pub struct RunSpec {
     /// `"exact"` (seed-bitwise scalar math, default) or `"vector"`
     /// (lane-parallel SIMD exp + accumulation).
     pub math: String,
-    /// Run the resident online autotuner (continuous retuning of the
-    /// rank pool against live epochs).
-    pub tune: bool,
-    /// Completed tasks per tuner decision epoch.
-    pub tune_epoch: u64,
-    /// Non-improving probes of one candidate before the tuner abandons
-    /// a direction.
-    pub tuner_patience: u32,
 }
 
 /// The keys [`RunSpec::from_json`] reads, besides the rule's own
 /// parameter (`panels`, `k` or `order`).
-const SPEC_KEYS: [&str; 16] = [
+const SPEC_KEYS: [&str; 13] = [
     "max_z",
     "bins",
     "band_ev",
@@ -106,16 +98,10 @@ const SPEC_KEYS: [&str; 16] = [
     "rule",
     "precision",
     "math",
-    "tune",
-    "tune_epoch",
-    "tuner_patience",
 ];
 
 impl Default for RunSpec {
     fn default() -> Self {
-        // The spec's tuner defaults ARE the shared knob surface — one
-        // source of truth for every entry point.
-        let tuning = hybrid_sched::TuningConfig::default();
         RunSpec {
             max_z: 31,
             bins: 400,
@@ -133,9 +119,6 @@ impl Default for RunSpec {
             rule: RuleSpec::Simpson { panels: 64 },
             precision: "double".to_string(),
             math: "exact".to_string(),
-            tune: tuning.enabled,
-            tune_epoch: tuning.epoch_tasks,
-            tuner_patience: tuning.patience,
         }
     }
 }
@@ -230,18 +213,6 @@ impl RunSpec {
         if let Some(m) = str_field("math")? {
             spec.math = m.to_string();
         }
-        if let Some(t) = obj.get("tune") {
-            spec.tune = t
-                .as_bool()
-                .ok_or_else(|| "'tune' must be a boolean".to_string())?;
-        }
-        if let Some(e) = f64_field("tune_epoch")? {
-            spec.tune_epoch = e as u64;
-        }
-        if let Some(p) = usize_field("tuner_patience")? {
-            spec.tuner_patience =
-                u32::try_from(p).map_err(|_| "'tuner_patience' out of range".to_string())?;
-        }
 
         // The rule is the one required field: a flattened tagged enum.
         let rule = str_field("rule")?.ok_or("missing required field 'rule'")?;
@@ -292,10 +263,7 @@ impl RunSpec {
             .field("granularity", self.granularity.as_str())
             .field("policy", self.policy.as_str())
             .field("precision", self.precision.as_str())
-            .field("math", self.math.as_str())
-            .field("tune", self.tune)
-            .field("tune_epoch", self.tune_epoch as f64)
-            .field("tuner_patience", self.tuner_patience as usize);
+            .field("math", self.math.as_str());
         b = match self.rule {
             RuleSpec::Simpson { panels } => b.field("rule", "simpson").field("panels", panels),
             RuleSpec::Romberg { k } => b.field("rule", "romberg").field("k", k),
@@ -361,11 +329,6 @@ impl RunSpec {
             cpu_integrator: Integrator::paper_cpu(),
             math,
             resilience: crate::resilience::ResilienceConfig::default(),
-            tuning: hybrid_sched::TuningConfig {
-                enabled: self.tune,
-                epoch_tasks: self.tune_epoch.max(1),
-                patience: self.tuner_patience.max(1),
-            },
         })
     }
 }
@@ -444,6 +407,9 @@ mod tests {
             ("pack_threshold", "24"),
             ("tuner_step", "8"),
             ("async_window", "8"),
+            ("tune", "true"),
+            ("tune_epoch", "16"),
+            ("tuner_patience", "4"),
             ("gpu", "4"),
             ("k", "3"), // another rule's parameter
         ] {
@@ -468,38 +434,10 @@ mod tests {
             let spec = RunSpec {
                 rule,
                 math: "vector".to_string(),
-                tune: true,
-                tune_epoch: 32,
-                tuner_patience: 3,
                 ..RunSpec::default()
             };
             assert_eq!(spec, RunSpec::from_json(&spec.to_json()).unwrap());
         }
-    }
-
-    #[test]
-    fn tuner_fields_materialize_and_share_the_default_surface() {
-        // The spec's defaults must be exactly the shared TuningConfig
-        // surface (satellite: one knob surface for every entry point).
-        let d = RunSpec::default();
-        let shared = hybrid_sched::TuningConfig::default();
-        assert_eq!(d.tune, shared.enabled);
-        assert_eq!(d.tune_epoch, shared.epoch_tasks);
-        assert_eq!(d.tuner_patience, shared.patience);
-
-        let json = r#"{
-            "max_z": 4,
-            "bins": 16,
-            "tune": true,
-            "tune_epoch": 16,
-            "tuner_patience": 4,
-            "rule": "simpson",
-            "panels": 32
-        }"#;
-        let cfg = RunSpec::from_json(json).unwrap().into_config().unwrap();
-        assert!(cfg.tuning.enabled);
-        assert_eq!(cfg.tuning.epoch_tasks, 16);
-        assert_eq!(cfg.tuning.patience, 4);
     }
 
     #[test]

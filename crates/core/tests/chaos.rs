@@ -296,7 +296,7 @@ fn shutdown_under_fault_does_not_hang() {
 }
 
 #[test]
-fn quarantine_and_probation_cycle_recovers_a_flapping_device() {
+fn breaker_cycle_recovers_a_flapping_device() {
     // Device 0 fails its first two launches back-to-back, its breaker
     // opens, sits out the cooldown on the engine clock, is re-admitted
     // by a half-open probe, and serves cleanly afterwards.

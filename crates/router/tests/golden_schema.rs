@@ -9,7 +9,7 @@
 //! rewrites the file and fails, and the next run passes. Commit the
 //! regenerated file with the change that motivated it.
 
-use hybrid_sched::{BreakerCounters, BreakerState, DimSnapshot, Knob, TunerSnapshot};
+use hybrid_sched::{BreakerCounters, BreakerState};
 use rrc_router::{ReplicaSnapshot, RouterCounters, RouterSnapshot, SegmentSnapshot};
 use rrc_service::{CacheStats, MetricsSnapshot, StageLatency};
 
@@ -65,26 +65,6 @@ fn service_metrics(demoted: bool) -> MetricsSnapshot {
         },
         scheduler_cost_residual_milli: 37,
         scheduler_cost_observations: 210,
-        scheduler_tuner: if demoted {
-            None
-        } else {
-            Some(TunerSnapshot {
-                epoch: 11,
-                settled: false,
-                dims: vec![
-                    DimSnapshot {
-                        knob: Knob::ActiveRanks,
-                        value: 24,
-                        last_move: 1,
-                    },
-                    DimSnapshot {
-                        knob: Knob::MaxBatch,
-                        value: 12,
-                        last_move: -1,
-                    },
-                ],
-            })
-        },
         cache: cache_stats(25, 15, 13, 2, 0),
         cache_shards: vec![cache_stats(20, 10, 9, 1, 0), cache_stats(5, 5, 4, 1, 0)],
     }

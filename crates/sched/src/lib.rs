@@ -33,9 +33,6 @@
 //!   queue length until the performance inflexion point;
 //! * [`cost`] — the online blend of the static task-cost model with
 //!   measured per-task device seconds, keyed by workload class;
-//! * [`tuner`] — the resident [`OnlineTuner`] controller that promotes
-//!   the one-shot autotune sweep to continuous epoch-based retuning of
-//!   the live runtime knobs ([`TunerKnobs`]);
 //! * [`breaker`] — the per-target [`CircuitBreaker`] that takes a
 //!   failing device (or, at the routing tier, replica) out of
 //!   placement and lets it back in on a probe.
@@ -45,7 +42,6 @@ pub mod breaker;
 pub mod cost;
 pub mod policy;
 pub mod steal;
-pub mod tuner;
 
 pub use autotune::AutoTuner;
 pub use breaker::{BreakerConfig, BreakerCounters, BreakerState, CircuitBreaker};
@@ -55,43 +51,6 @@ pub use policy::{
     Selection, TieBreak,
 };
 pub use steal::{Next, Staged, StealQueues};
-pub use tuner::{DimSnapshot, Knob, OnlineTuner, TunerDim, TunerKnobs, TunerSnapshot};
-
-/// The shared autotuning knob surface: one set of defaults used by the
-/// engine config, the run-spec JSON dialect, the CLI, and the bench
-/// sweeps, so every entry point probes with the same machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuningConfig {
-    /// Run the resident [`OnlineTuner`] controller.
-    pub enabled: bool,
-    /// Completed tasks per decision epoch.
-    pub epoch_tasks: u64,
-    /// Consecutive non-improving probes of one candidate before the
-    /// controller abandons a direction (the one-shot
-    /// [`AutoTuner::with_patience`] budget, shared).
-    pub patience: u32,
-}
-
-impl Default for TuningConfig {
-    fn default() -> TuningConfig {
-        TuningConfig {
-            enabled: false,
-            epoch_tasks: 64,
-            patience: 2,
-        }
-    }
-}
-
-impl TuningConfig {
-    /// Default knob surface with the controller switched on.
-    #[must_use]
-    pub fn enabled() -> TuningConfig {
-        TuningConfig {
-            enabled: true,
-            ..TuningConfig::default()
-        }
-    }
-}
 
 use std::sync::Arc;
 
@@ -153,9 +112,6 @@ pub struct SchedulerSnapshot {
     /// Measured-cost observations folded into the blend so far (filled
     /// by the engine layer).
     pub cost_observations: u64,
-    /// Live [`OnlineTuner`] state, when a resident controller is
-    /// attached (filled by the engine layer).
-    pub tuner: Option<TunerSnapshot>,
 }
 
 impl SchedulerSnapshot {
@@ -593,7 +549,6 @@ impl Scheduler {
             breaker_counters: self.breakers.iter().map(CircuitBreaker::counters).sum(),
             cost_residual_milli: 0,
             cost_observations: 0,
-            tuner: None,
         }
     }
 
@@ -899,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_devices_drop_out_of_placement() {
+    fn open_breakers_drop_devices_out_of_placement() {
         let (s, clock) = manual_breakers();
         s.breaker(DeviceId(0)).lose();
         for _ in 0..4 {
@@ -921,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn probation_admits_one_probe_at_a_time() {
+    fn half_open_admits_one_probe_at_a_time() {
         let (s, clock) = manual_breakers();
         for _ in 0..4 {
             s.record_failure(DeviceId(0));

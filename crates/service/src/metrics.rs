@@ -101,9 +101,6 @@ pub struct MetricsSnapshot {
     pub scheduler_cost_residual_milli: u64,
     /// Measured-cost samples the online cost model has folded in.
     pub scheduler_cost_observations: u64,
-    /// The resident tuner's per-dimension view (`None` when the
-    /// engine runs with tuning disabled).
-    pub scheduler_tuner: Option<hybrid_sched::TunerSnapshot>,
     /// Ion-partial cache effectiveness, totalled across shards (filled
     /// by [`MetricsSnapshot::with_cache`]; all-zero for a bare
     /// [`ServiceMetrics::snapshot`]).
@@ -135,7 +132,6 @@ impl MetricsSnapshot {
         self.scheduler_breaker_counters = sched.breaker_counters;
         self.scheduler_cost_residual_milli = sched.cost_residual_milli;
         self.scheduler_cost_observations = sched.cost_observations;
-        self.scheduler_tuner = sched.tuner.clone();
         self
     }
 
@@ -200,38 +196,10 @@ impl MetricsSnapshot {
                     .field("breaker_closes", self.scheduler_breaker_counters.closes)
                     .field("cost_observations", self.scheduler_cost_observations)
                     .field("cost_residual_milli", self.scheduler_cost_residual_milli)
-                    .field("tuner", tuner_json(self.scheduler_tuner.as_ref()))
                     .build(),
             )
             .build()
     }
-}
-
-/// The stable JSON rendering of the tuner view: `enabled` plus, for a
-/// live controller, its epoch, settled flag, and per-dimension value
-/// and last committed move direction (keyed by [`hybrid_sched::Knob::label`]).
-#[must_use]
-pub fn tuner_json(tuner: Option<&hybrid_sched::TunerSnapshot>) -> jsonlite::Value {
-    let mut builder = jsonlite::ObjectBuilder::new().field("enabled", tuner.is_some());
-    if let Some(t) = tuner {
-        builder = builder
-            .field("epoch", t.epoch)
-            .field("settled", t.settled)
-            .field(
-                "dims",
-                t.dims
-                    .iter()
-                    .map(|d| {
-                        jsonlite::ObjectBuilder::new()
-                            .field("knob", d.knob.label())
-                            .field("value", d.value)
-                            .field("last_move", f64::from(d.last_move))
-                            .build()
-                    })
-                    .collect::<Vec<_>>(),
-            );
-    }
-    builder.build()
 }
 
 /// p50/p95/p99 + mean of one lifecycle stage, in seconds.
@@ -388,7 +356,6 @@ impl ServiceMetrics {
             scheduler_breaker_counters: hybrid_sched::BreakerCounters::default(),
             scheduler_cost_residual_milli: 0,
             scheduler_cost_observations: 0,
-            scheduler_tuner: None,
             cache: crate::cache::CacheStats::default(),
             cache_shards: Vec::new(),
         }

@@ -17,12 +17,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use atomdb::AtomDatabase;
 use desim::{Priority, VirtualClock};
-use hybrid_sched::{Knob, SchedulerSnapshot, TunerDim};
+use hybrid_sched::SchedulerSnapshot;
 use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
 use mpi_sim::TryPushError;
 use rrc_spectral::EnergyGrid;
@@ -116,31 +116,17 @@ struct QueuedRequest {
 struct Shared {
     grids: Vec<EnergyGrid>,
     bin_tables: Vec<Arc<Vec<(f64, f64)>>>,
+    /// Most requests one batch coalesces ([`ServiceConfig::max_batch`],
+    /// floored at 1).
+    max_batch: usize,
+    /// The one quantizer every request is keyed with
+    /// ([`ServiceConfig::quantize_drop_bits`]).
+    quantizer: Quantizer,
     fanout_retries: u32,
     queue: PriorityQueues<QueuedRequest>,
     engine: Engine,
     cache: ShardedLruCache,
-    metrics: Arc<ServiceMetrics>,
-}
-
-impl Shared {
-    /// The live batch bound — the controller's `MaxBatch` knob, seeded
-    /// from [`ServiceConfig::max_batch`] at start and retuned each
-    /// decision epoch when the engine runs with tuning enabled.
-    fn max_batch(&self) -> usize {
-        (self.engine.tuner_knobs().max_batch() as usize).max(1)
-    }
-
-    /// The live quantizer — built from the controller's `DropBits`
-    /// knob, seeded from [`ServiceConfig::quantize_drop_bits`] at
-    /// start. The tuner may only *lower* the dropped bits (its
-    /// dimension is bounded by the configured value), so a tuned
-    /// service never answers lossier than it was configured to.
-    /// Callers snapshot once per batch/request so key and
-    /// representative stay mutually consistent.
-    fn quantizer(&self) -> Quantizer {
-        Quantizer::new(self.engine.tuner_knobs().drop_bits() as u32)
-    }
+    metrics: ServiceMetrics,
 }
 
 /// The running service. Submit from any thread; shut down (or drop)
@@ -165,56 +151,10 @@ impl SpectralService {
             .iter()
             .map(|g| Arc::new(g.bin_pairs()))
             .collect();
-        let engine = Engine::start(config.engine);
-        // Seed the service-tier knobs with the configured values, then
-        // hand the dimensions to the resident controller (when tuning):
-        // batch size probes up to the admission bound, and quantizer
-        // drop bits — only when the profile is lossy to begin with —
-        // probe *downward* from the configured value, so the
-        // deterministic exact-key profile never grows a lossy knob.
-        let knobs = engine.tuner_knobs();
-        knobs.set(Knob::MaxBatch, config.max_batch.max(1) as u64);
-        knobs.set(Knob::DropBits, u64::from(config.quantize_drop_bits));
-        if let Some(tuner) = engine.tuner() {
-            tuner.add_dim(TunerDim {
-                knob: Knob::MaxBatch,
-                min: 1,
-                max: config.request_queue_depth.max(config.max_batch).max(1) as u64,
-                step: 1,
-            });
-            if config.quantize_drop_bits > 0 {
-                tuner.add_dim(TunerDim {
-                    knob: Knob::DropBits,
-                    min: 0,
-                    max: u64::from(config.quantize_drop_bits),
-                    step: 1,
-                });
-            }
-        }
-        let metrics = Arc::new(ServiceMetrics::new());
-        {
-            // Point the controller's decision-epoch signal at the live
-            // end-to-end latency: mean seconds per response delivered
-            // since the previous epoch (lower = better). Until the
-            // first response lands the reader yields `None` and the
-            // engine falls back to its internal modeled-seconds signal.
-            let metrics = Arc::clone(&metrics);
-            let last = Mutex::new((0u64, 0.0f64));
-            engine.set_tuner_signal(move || {
-                let total = metrics.snapshot().total;
-                let sum_s = total.mean_s * total.count as f64;
-                let mut guard = last.lock().ok()?;
-                let (count0, sum0) = *guard;
-                let delivered = total.count.saturating_sub(count0);
-                if delivered == 0 {
-                    return None;
-                }
-                *guard = (total.count, sum_s);
-                Some(((sum_s - sum0) / delivered as f64).max(0.0))
-            });
-        }
         let shared = Arc::new(Shared {
             bin_tables,
+            max_batch: config.max_batch.max(1),
+            quantizer: Quantizer::new(config.quantize_drop_bits),
             fanout_retries: config.fanout_retries,
             queue: PriorityQueues::new(
                 [
@@ -223,9 +163,9 @@ impl SpectralService {
                 ],
                 config.interactive_weight,
             ),
-            engine,
+            engine: Engine::start(config.engine),
             cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
-            metrics,
+            metrics: ServiceMetrics::new(),
             grids: config.grids,
         });
         let batcher = {
@@ -492,9 +432,8 @@ pub fn fill_misses(
 /// queries stays cheap).
 fn caller_run(shared: &Shared, request: &SpectrumRequest) -> SpectrumResponse {
     let db = &shared.engine.config().db;
-    let quantizer = shared.quantizer();
-    let key = quantizer.state_key(&request.point, request.grid_id);
-    let point = quantizer.representative(&key);
+    let key = shared.quantizer.state_key(&request.point, request.grid_id);
+    let point = shared.quantizer.representative(&key);
     let grid = &shared.grids[request.grid_id];
     let ions = selected_ions(db, request);
     let mut partials: BTreeMap<usize, Arc<Vec<f64>>> = BTreeMap::new();
@@ -551,7 +490,7 @@ fn estimate_request_seconds(shared: &Shared, request: &SpectrumRequest) -> f64 {
 fn batcher_loop(shared: &Shared) {
     while let Some((_, first)) = shared.queue.pop() {
         let mut batch = vec![first];
-        while batch.len() < shared.max_batch() {
+        while batch.len() < shared.max_batch {
             match shared.queue.try_pop() {
                 Some((_, next)) => batch.push(next),
                 None => break,
@@ -570,19 +509,18 @@ fn batcher_loop(shared: &Shared) {
 
 fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant) {
     let db = &shared.engine.config().db;
-    // One quantizer snapshot per batch: a mid-batch DropBits retune
-    // must not split a group between key and representative.
-    let quantizer = shared.quantizer();
     // Group requests sharing a quantized plasma state + grid; BTreeMap
     // so group processing order is deterministic.
     let mut groups: BTreeMap<StateKey, Vec<usize>> = BTreeMap::new();
     for (i, queued) in batch.iter().enumerate() {
-        let key = quantizer.state_key(&queued.request.point, queued.request.grid_id);
+        let key = shared
+            .quantizer
+            .state_key(&queued.request.point, queued.request.grid_id);
         groups.entry(key).or_default().push(i);
     }
 
     for (key, members) in groups {
-        let point = quantizer.representative(&key);
+        let point = shared.quantizer.representative(&key);
         let grid = &shared.grids[key.grid_id];
         let bins = &shared.bin_tables[key.grid_id];
 

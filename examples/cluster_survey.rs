@@ -42,7 +42,6 @@ fn main() {
         cpu_integrator: Integrator::paper_cpu(),
         math: hybridspec::quadrature::MathMode::Exact,
         resilience: hybridspec::hybrid::ResilienceConfig::default(),
-        tuning: hybridspec::sched::TuningConfig::default(),
     };
     println!(
         "computing {} survey spectra on {} ranks / {} simulated GPUs...",

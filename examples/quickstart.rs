@@ -47,7 +47,6 @@ fn main() {
         cpu_integrator: Integrator::paper_cpu(),
         math: hybridspec::quadrature::MathMode::Exact,
         resilience: hybridspec::hybrid::ResilienceConfig::default(),
-        tuning: hybridspec::sched::TuningConfig::default(),
     };
     let report = HybridRunner::new(config).run();
     println!(

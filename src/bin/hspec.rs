@@ -72,7 +72,7 @@ USAGE:
   hspec spectrum [--temp K] [--density CM3] [--bins N] [--max-z Z]
                  [--ranks N] [--gpus N] [--qlen N] [--lines true]
                  [--policy cost-aware|paper-count] [--math exact|vector]
-                 [--out FILE.tsv] [--tune] [--no-tune] [--tune-epoch N]
+                 [--out FILE.tsv]
                  [--faults seed=N,launch=P,panic=P,dma=P,stall=P:MS,lose=DEV@OP]
   hspec predict  [--gpus N] [--qlen N] [--granularity ion|level]
                  [--romberg-k K] [--async-window N]
@@ -83,7 +83,7 @@ USAGE:
   hspec serve    [--shards N] [--replicas R] [--requests N] [--max-z Z]
                  [--bins N] [--gpus N] [--cache N] [--rebalance true|false]
                  [--affinity] [--no-affinity] [--router-cache N] [--hot-k K]
-                 [--tune] [--no-tune] [--tune-epoch N] [--snapshot FILE.json]
+                 [--snapshot FILE.json]
                  [--deadline-ms MS] [--priority interactive|bulk]
                  [--hedge-quantile Q]
   hspec remnant  [--age-yr YR] [--ambient CM3] [--shells N]
@@ -99,7 +99,7 @@ struct Args {
 
 /// The only flags that stand alone without a value; everything else
 /// keeps the strict `--key value` shape.
-const BARE_FLAGS: &[&str] = &["tune", "no-tune", "affinity", "no-affinity"];
+const BARE_FLAGS: &[&str] = &["affinity", "no-affinity"];
 
 impl Args {
     fn parse(argv: &[String]) -> Result<Args, String> {
@@ -135,23 +135,6 @@ impl Args {
             None => Ok(()),
             Some(name) => Err(format!("{command} does not read --{name}")),
         }
-    }
-
-    /// Resolve `--tune` / `--no-tune` / `--tune-epoch N` over the
-    /// shared knob surface (`--no-tune` wins when both are given).
-    fn tuning(
-        &self,
-        default: hybridspec::sched::TuningConfig,
-    ) -> Result<hybridspec::sched::TuningConfig, String> {
-        let mut tuning = default;
-        if self.map.contains_key("tune") {
-            tuning.enabled = true;
-        }
-        if self.map.contains_key("no-tune") {
-            tuning.enabled = false;
-        }
-        tuning.epoch_tasks = self.get("tune-epoch", tuning.epoch_tasks)?.max(1);
-        Ok(tuning)
     }
 
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -234,8 +217,7 @@ fn parse_fault_spec(spec: &str, gpus: usize) -> Result<Vec<hybridspec::gpu::Faul
 fn cmd_spectrum(args: &Args) -> Result<(), String> {
     args.refuse_unknown(
         "spectrum",
-        "temp density bins max-z ranks gpus qlen lines out math policy faults \
-         tune no-tune tune-epoch",
+        "temp density bins max-z ranks gpus qlen lines out math policy faults",
     )?;
     let temp: f64 = args.get("temp", 3.5e6)?;
     let density: f64 = args.get("density", 1.0)?;
@@ -287,7 +269,6 @@ fn cmd_spectrum(args: &Args) -> Result<(), String> {
         cpu_integrator: Integrator::paper_cpu(),
         math,
         resilience,
-        tuning: args.tuning(hybridspec::sched::TuningConfig::default())?,
     };
     let report = HybridRunner::new(config).run();
     let mut spectrum = report.spectra.into_iter().next().expect("one point");
@@ -396,10 +377,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     let db = atomdb::AtomDatabase::generate(atomdb::DatabaseConfig::default());
     let workload = SpectralWorkload::paper(&db);
     let calib = Calibration::paper();
-    // The one-shot sweep shares its patience budget with the resident
-    // controller's knob surface.
-    let tuning = hybridspec::sched::TuningConfig::default();
-    let mut tuner = AutoTuner::paper_sweep().with_patience(tuning.patience);
+    let mut tuner = AutoTuner::paper_sweep().with_patience(2);
     while let Some(q) = tuner.next_candidate() {
         let t = desmodel::run(spectral_config(
             &workload,
@@ -532,8 +510,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     args.refuse_unknown(
         "serve",
         "shards replicas requests max-z bins gpus cache rebalance router-cache hot-k \
-         deadline-ms priority hedge-quantile snapshot affinity no-affinity \
-         tune no-tune tune-epoch",
+         deadline-ms priority hedge-quantile snapshot affinity no-affinity",
     )?;
     let shards: usize = args.get("shards", 2)?;
     let replicas: usize = args.get("replicas", 1)?;
@@ -565,7 +542,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.shards = shards;
     cfg.replicas = replicas;
     cfg.engine.gpus = gpus;
-    cfg.engine.tuning = args.tuning(cfg.engine.tuning)?;
     cfg.cache_capacity = cache;
     cfg.route_cache_capacity = router_cache;
     cfg.hot_state_k = hot_k;
@@ -774,33 +750,20 @@ mod tests {
         assert!(Args::parse(&["--temp".to_string()]).is_err());
         let a = args(&[("gpus", "three")]);
         assert!(a.get("gpus", 0usize).is_err());
-    }
-
-    #[test]
-    fn parser_accepts_bare_tune_flags() {
-        use hybridspec::sched::TuningConfig;
-        let argv: Vec<String> = ["--tune", "--tune-epoch", "32"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let a = Args::parse(&argv).unwrap();
-        let tuning = a.tuning(TuningConfig::default()).unwrap();
-        assert!(tuning.enabled);
-        assert_eq!(tuning.epoch_tasks, 32);
-        // --no-tune overrides an enabled default (and --tune, if both).
-        let b = Args::parse(&["--no-tune".to_string()]).unwrap();
-        assert!(!b.tuning(TuningConfig::enabled()).unwrap().enabled);
         // Only the allowlisted flags are bare; others still need values.
         assert!(Args::parse(&["--lines".to_string()]).is_err());
+        assert!(Args::parse(&["--tune".to_string()]).is_err());
     }
 
     #[test]
     fn commands_refuse_flags_they_do_not_read() {
-        // A typo and a retired flag fail before anything runs.
-        for (flag, value) in [("gpu", "4"), ("pack-threshold", "24")] {
+        // A typo and retired flags fail before anything runs.
+        for (flag, value) in [("gpu", "4"), ("pack-threshold", "24"), ("tune", "true")] {
             let err = cmd_spectrum(&args(&[(flag, value)])).unwrap_err();
             assert!(err.contains(&format!("--{flag}")), "{err}");
         }
+        let err = cmd_serve(&args(&[("tune-epoch", "32")])).unwrap_err();
+        assert!(err.contains("--tune-epoch"), "{err}");
         // A flag one command reads is refused by another.
         let err = cmd_tune(&args(&[("temp", "1e7")])).unwrap_err();
         assert!(err.contains("--temp"), "{err}");

@@ -38,7 +38,6 @@ fn sedov_to_folded_counts() {
         cpu_integrator: Integrator::paper_cpu(),
         math: hybridspec::quadrature::MathMode::Exact,
         resilience: hybridspec::hybrid::ResilienceConfig::default(),
-        tuning: hybridspec::sched::TuningConfig::default(),
     };
     let report = HybridRunner::new(config).run();
     assert_eq!(report.spectra.len(), 4);
