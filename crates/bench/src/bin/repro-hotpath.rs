@@ -3,8 +3,9 @@
 //! Times the same Ion-task workload (10 levels x 512 bins, Simpson-64)
 //! through the seed pipeline — `BinIntegrationKernel` over closures that
 //! recompute the Maxwellian prefactor per sample — and through the fused
-//! pipeline — `FusedBinKernel` over [`PreparedIntegrand`]s — plus the
-//! host-side per-bin vs `integrate_bins_sampled` pair, and writes both
+//! pipeline — `FusedBinKernel` over
+//! [`rrc_spectral::PreparedIntegrand`]s — plus the host-side per-bin vs
+//! `integrate_bins_sampled` pair, and writes both
 //! throughput numbers (legacy-equivalent integrand evaluations per
 //! second over the identical workload) to `BENCH_hotpath.json`.
 //!

@@ -1,13 +1,13 @@
 //! The resident hybrid engine — paper Fig. 2 as a long-lived service
 //! backend.
 //!
-//! [`crate::runtime::HybridRunner`] runs one fixed [`ParameterSpace`]
-//! to completion and tears everything down. A query service cannot
-//! work that way: it needs the rank workers, the shared-memory
-//! scheduler and the simulated devices brought up **once**, fed
-//! coarse-grained ion tasks for as long as the process lives, and torn
-//! down gracefully (drain the queues, free every
-//! [`hybrid_sched::Grant`], join every thread). [`Engine`] is that
+//! [`crate::runtime::HybridRunner`] runs one fixed
+//! [`rrc_spectral::ParameterSpace`] to completion and tears everything
+//! down. A query service cannot work that way: it needs the rank
+//! workers, the shared-memory scheduler and the simulated devices
+//! brought up **once**, fed coarse-grained ion tasks for as long as the
+//! process lives, and torn down gracefully (drain the queues, free
+//! every [`hybrid_sched::Grant`], join every thread). [`Engine`] is that
 //! resident form; `HybridRunner::run` is now a thin batch client of it.
 //!
 //! ## Cost-aware staged execution
@@ -378,26 +378,6 @@ pub struct EngineReport {
     pub device_breakers: Vec<BreakerState>,
     /// Device breaker transitions over the run, summed across devices.
     pub breaker_counters: BreakerCounters,
-    /// Bytes of per-ion partial state resident on devices at shutdown
-    /// (see [`crate::resident::ResidentSpectrum`]).
-    pub resident_bytes: u64,
-    /// Peak bytes of resident partial state over the engine's life.
-    pub resident_bytes_peak: u64,
-    /// Delta recalculations served from resident state.
-    pub resident_delta_recalcs: u64,
-    /// Full recomputations (cold computes and invalidation recoveries).
-    pub resident_full_recomputes: u64,
-    /// Ions whose resident partials were reused verbatim across all
-    /// delta recalcs.
-    pub resident_reused_ions: u64,
-    /// Ions re-integrated across all delta recalcs (the summed
-    /// affected-set sizes).
-    pub resident_recomputed_ions: u64,
-    /// Largest single affected-ion set any delta recalc re-integrated.
-    pub resident_affected_max: u64,
-    /// Resident-state invalidations (device loss detected before
-    /// reuse), each followed by a full recompute.
-    pub resident_invalidations: u64,
     /// Ion partials pushed into this engine's tier from outside its own
     /// compute path — hot-state replication and migration cache handoff
     /// (see [`Engine::note_warm_insert`]). These ions were *never
@@ -417,7 +397,6 @@ pub struct Engine {
     workers: Vec<std::thread::JoinHandle<WorkerStats>>,
     pumps: Vec<std::thread::JoinHandle<()>>,
     fault_stats: Arc<FaultStats>,
-    resident: Arc<crate::resident::ResidentCounters>,
     /// The online measured-cost blend: placement reads it, every device
     /// settle feeds it.
     cost: Arc<CostModel>,
@@ -499,7 +478,6 @@ impl Engine {
             workers,
             pumps,
             fault_stats,
-            resident: Arc::new(crate::resident::ResidentCounters::default()),
             cost,
             warm_inserts: AtomicU64::new(0),
         }
@@ -659,32 +637,12 @@ impl Engine {
         self.config.gpus
     }
 
-    /// The simulated devices, for the resident-state layer's memory
-    /// accounting and fold charging.
-    pub(crate) fn devices(&self) -> &[SimGpu] {
-        &self.devices
-    }
-
-    /// Whether device `device` has been (stickily) lost. Out-of-range
-    /// indices read as not lost.
-    #[must_use]
-    pub fn device_lost(&self, device: usize) -> bool {
-        self.devices
-            .get(device)
-            .is_some_and(|g| g.faults().is_lost())
-    }
-
     /// The fault injector of device `device` — the chaos hook tests and
     /// benches use to force deterministic device loss
     /// ([`gpu_sim::FaultInjector::force_lose`]).
     #[must_use]
     pub fn device_faults(&self, device: usize) -> Option<&gpu_sim::FaultInjector> {
         self.devices.get(device).map(SimGpu::faults)
-    }
-
-    /// The shared resident-state counters (reported at shutdown).
-    pub(crate) fn resident_counters(&self) -> &Arc<crate::resident::ResidentCounters> {
-        &self.resident
     }
 
     /// Scheduler load/history/steal read for the metrics layer, with
@@ -802,14 +760,6 @@ impl Engine {
             device_faults: self.devices.iter().map(|g| g.faults().counters()).collect(),
             device_breakers: snap.breakers,
             breaker_counters: snap.breaker_counters,
-            resident_bytes: self.resident.bytes(),
-            resident_bytes_peak: self.resident.bytes_peak(),
-            resident_delta_recalcs: self.resident.delta_recalcs(),
-            resident_full_recomputes: self.resident.full_recomputes(),
-            resident_reused_ions: self.resident.reused_ions(),
-            resident_recomputed_ions: self.resident.recomputed_ions(),
-            resident_affected_max: self.resident.affected_max(),
-            resident_invalidations: self.resident.invalidations(),
             warmed_ions: self.warm_inserts.load(Ordering::Relaxed),
         }
     }

@@ -10,7 +10,8 @@
 //!   device, and run the RRC kernel on `gpu-sim` devices with QAGS CPU
 //!   fallback. [`runtime::HybridRunner`] is its batch client (paper
 //!   Fig. 7/8 and all correctness tests); the `rrc-service` crate is
-//!   its long-lived query-service client.
+//!   its long-lived query-service client, whose per-ion cache is the
+//!   one place a repeated or swept plasma state is served from.
 //! * [`desmodel`] — the **virtual-time replica**: the same ranks /
 //!   scheduler / devices / PCIe bus / contended CPU cores replayed on
 //!   [`desim`] with service times from [`calib`]. Produces the paper's
@@ -28,7 +29,6 @@ pub mod engine;
 pub mod experiments;
 pub mod hydro;
 pub mod pool;
-pub mod resident;
 pub mod resilience;
 pub mod runtime;
 pub mod spec;
@@ -42,7 +42,6 @@ pub use engine::{Engine, EngineConfig, EngineReport, ExecPath, FanOut, IonJob, I
 pub use hybrid_sched::SchedPolicy;
 pub use hydro::SedovBlast;
 pub use pool::WorkspacePool;
-pub use resident::{RecalcSummary, ResidentError, ResidentSpectrum};
 pub use resilience::ResilienceConfig;
 pub use runtime::{HybridConfig, HybridRunner, RunReport};
 pub use spec::{RuleSpec, RunSpec};

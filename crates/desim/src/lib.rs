@@ -18,7 +18,7 @@
 //!   wakes the next waiter. Each resource keeps a time-weighted
 //!   [`LoadHistogram`] (the raw data behind paper Fig. 6) plus busy-time
 //!   and grant counters.
-//! * [`rng()`](rng) provides seeded, reproducible randomness for
+//! * [`rng()`](fn@rng) provides seeded, reproducible randomness for
 //!   workload jitter.
 
 use std::cmp::Ordering;

@@ -4,11 +4,12 @@
 //! the paper are replaced by a software device model with two faces
 //! (see `DESIGN.md`, substitution table):
 //!
-//! * a **numerical face** — [`simt`] executes kernels (notably the RRC
-//!   bin-integration kernel, paper Algorithm 2) *for real* on host
-//!   threads, with CUDA-style grid/block/thread indexing and the same
-//!   bins-per-thread partitioning, so results and accuracy experiments
-//!   are genuine computations;
+//! * a **numerical face** — [`simt`] executes the RRC bin-integration
+//!   kernel (paper Algorithm 2: [`BinIntegrationKernel`] and its fused
+//!   form [`FusedBinKernel`]) *for real*, one simulated thread after
+//!   another on the calling thread, with CUDA-style grid/block/thread
+//!   indexing and the same bins-per-thread partitioning, so results and
+//!   accuracy experiments are genuine computations;
 //! * a **timing face** — [`cost`] charges virtual time for kernel
 //!   launches, PCIe transfers and compute, parameterized by
 //!   [`DeviceProps`] (Fermi C2075 and Kepler presets). The
@@ -20,7 +21,8 @@
 //! Hyper-Q), exactly the two queueing disciplines the paper discusses.
 //! [`memory`] models the 6 GB on-board memory with an explicit arena so
 //! out-of-memory behaves like `cudaMalloc` failure rather than host
-//! swapping.
+//! swapping; the engine's device pump allocates its per-task result
+//! buffer there.
 
 pub mod cost;
 pub mod fault;
@@ -36,5 +38,4 @@ pub use props::{Architecture, DeviceProps};
 pub use runtime::{DeviceCounters, SimGpu, TaskError, TaskHandle};
 pub use simt::{
     launch, BinIntegrationKernel, DeviceRule, FusedBinKernel, LaunchConfig, Precision, ThreadCtx,
-    WeightedFoldKernel,
 };

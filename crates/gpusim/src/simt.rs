@@ -484,71 +484,6 @@ where
     }
 }
 
-/// Fused abundance-weighted accumulation kernel: the fold companion to
-/// [`FusedBinKernel`]. Where the integration kernels *produce* one
-/// ion's per-bin partial, this kernel *consumes* many resident partials
-/// at once, computing `out[b] = Σ_i w_i · p_i[b]` so the weighting and
-/// the cross-ion sum happen in a single device pass and only the folded
-/// spectrum ever crosses the simulated PCIe link.
-///
-/// Determinism contract: each bin accumulates its ions in ascending
-/// slice order with a scalar f64 loop, and bins are independent of one
-/// another, so the result is **bitwise invariant under any launch
-/// geometry** (unlike the integration kernels, which need a pinned
-/// chunking only because of shared-edge fusion). With unit weights the
-/// `1.0 * p` multiply is an IEEE-754 identity, so the fold is bitwise
-/// equal to the host-side ascending-ion `assemble` sum the service and
-/// serial paths use — the property the delta-recalculation layer's
-/// tolerance-zero parity gate relies on.
-pub struct WeightedFoldKernel<'a> {
-    /// Per-ion resident partials, ascending ion order; every slice must
-    /// have `out.len()` bins.
-    pub partials: &'a [&'a [f64]],
-    /// One abundance weight per partial (`1.0` = fold verbatim).
-    pub weights: &'a [f64],
-}
-
-impl WeightedFoldKernel<'_> {
-    /// Execute the fold with `cfg`, overwriting `out` (one slot per
-    /// bin). Returns the number of fused multiply-adds performed
-    /// (`partials × bins`) for the runtime's cost model.
-    ///
-    /// # Panics
-    /// Panics if `weights.len() != partials.len()` or any partial's
-    /// length differs from `out.len()`.
-    pub fn execute(&self, cfg: LaunchConfig, out: &mut [f64]) -> u64 {
-        assert_eq!(
-            self.weights.len(),
-            self.partials.len(),
-            "one weight per partial"
-        );
-        for (i, p) in self.partials.iter().enumerate() {
-            assert_eq!(p.len(), out.len(), "partial {i} / out bin mismatch");
-        }
-        let partials = self.partials;
-        let weights = self.weights;
-        let n = out.len();
-        let threads = cfg.total_threads();
-        let base = n / threads;
-        let extra = n % threads;
-
-        launch(cfg, out, |ctx, chunk| {
-            let t = ctx.global_id();
-            // Recover this thread's bin offset from the chunking law.
-            let start = t * base + t.min(extra);
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let bin = start + i;
-                let mut acc = 0.0f64;
-                for (p, &w) in partials.iter().zip(weights) {
-                    acc += w * p[bin];
-                }
-                *slot = acc;
-            }
-        });
-        (partials.len() * n) as u64
-    }
-}
-
 /// Accumulate one integrand over one thread's bin chunk, fusing shared
 /// edges where the rule allows it. `plan` is the chunk's [`BinPlan`]
 /// when the rule has an f64 fused form.
@@ -944,100 +879,5 @@ mod tests {
         assert!(cfg.total_threads() >= 1000);
         let cfg = LaunchConfig::cover(0);
         assert!(cfg.total_threads() >= 1);
-    }
-
-    /// Deterministic pseudo-partials for fold tests: varied magnitudes,
-    /// no RNG.
-    fn fold_fixture(ions: usize, bins: usize) -> Vec<Vec<f64>> {
-        (0..ions)
-            .map(|i| {
-                (0..bins)
-                    .map(|b| ((i * 31 + b * 7 + 1) as f64).sin().abs() * 10f64.powi(i as i32 % 5))
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn weighted_fold_matches_serial_sum_bitwise() {
-        let data = fold_fixture(9, 97);
-        let views: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let weights: Vec<f64> = (0..9).map(|i| 0.25 + i as f64 * 0.5).collect();
-        let kernel = WeightedFoldKernel {
-            partials: &views,
-            weights: &weights,
-        };
-        let mut out = vec![f64::NAN; 97];
-        let ops = kernel.execute(LaunchConfig::cover(97), &mut out);
-        assert_eq!(ops, 9 * 97);
-        for (b, &got) in out.iter().enumerate() {
-            let mut acc = 0.0;
-            for (p, &w) in data.iter().zip(&weights) {
-                acc += w * p[b];
-            }
-            assert_eq!(got.to_bits(), acc.to_bits(), "bin {b}");
-        }
-    }
-
-    #[test]
-    fn weighted_fold_unit_weights_equal_unweighted_sum_bitwise() {
-        // `1.0 * x` is an IEEE identity, so unit weights must reproduce
-        // the plain ascending-ion sum exactly — the tolerance-zero
-        // parity contract of the delta layer.
-        let data = fold_fixture(6, 33);
-        let views: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let weights = vec![1.0; 6];
-        let kernel = WeightedFoldKernel {
-            partials: &views,
-            weights: &weights,
-        };
-        let mut out = vec![0.0; 33];
-        kernel.execute(LaunchConfig::new(1, 1), &mut out);
-        for (b, &got) in out.iter().enumerate() {
-            let mut acc = 0.0;
-            for p in &data {
-                acc += p[b];
-            }
-            assert_eq!(got.to_bits(), acc.to_bits(), "bin {b}");
-        }
-    }
-
-    #[test]
-    fn weighted_fold_is_launch_geometry_invariant() {
-        // Bins are independent and each accumulates in fixed ion order,
-        // so any grid/block shape gives bitwise-identical output.
-        let data = fold_fixture(5, 61);
-        let views: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let weights = vec![1.0, 0.5, 2.0, 0.0, 3.5];
-        let kernel = WeightedFoldKernel {
-            partials: &views,
-            weights: &weights,
-        };
-        let mut reference = vec![0.0; 61];
-        kernel.execute(LaunchConfig::new(1, 1), &mut reference);
-        for cfg in [
-            LaunchConfig::new(1, 61),
-            LaunchConfig::new(4, 16),
-            LaunchConfig::cover(61),
-            LaunchConfig::new(61, 61),
-        ] {
-            let mut out = vec![f64::NAN; 61];
-            kernel.execute(cfg, &mut out);
-            for (b, (&got, &want)) in out.iter().zip(&reference).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "bin {b} cfg {cfg:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_fold_empty_partials_zero_the_output() {
-        let kernel = WeightedFoldKernel {
-            partials: &[],
-            weights: &[],
-        };
-        let mut out = vec![f64::NAN; 8];
-        let ops = kernel.execute(LaunchConfig::cover(8), &mut out);
-        assert_eq!(ops, 0);
-        assert!(out.iter().all(|&v| v == 0.0), "stale bits must be zeroed");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The per-bin arithmetic (node placement, summation order, scaling) is
 //! kept *identical* to the per-bin routines [`crate::simpson`] and
-//! [`crate::romberg`], so per-bin results are bitwise equal to the
+//! [`crate::romberg()`], so per-bin results are bitwise equal to the
 //! unfused path — the only change is that the cached edge sample is
 //! reused instead of recomputed. Edge reuse keys on bitwise equality of
 //! the abscissas (`bins[i].1 == bins[i+1].0`); runs whose bins do not
@@ -94,7 +94,7 @@ impl BinRule {
 /// evaluations actually performed.
 ///
 /// Per-bin results are bitwise identical to calling
-/// [`crate::simpson`] / [`crate::romberg`] on each bin separately.
+/// [`crate::simpson`] / [`crate::romberg()`] on each bin separately.
 ///
 /// # Panics
 /// Panics if `out.len() != bins.len()`.

@@ -967,7 +967,7 @@ impl ShardRouter {
     /// Pick a replica of `segment` for a read. With affinity enabled,
     /// the rendezvous-preferred replica serves whenever it is untried,
     /// healthy, and below the saturation bound — concentrating each
-    /// state's partials (and resident spectra) on one home replica
+    /// state's partials on one home replica
     /// instead of diluting them across R caches. Otherwise — and
     /// always with affinity disabled — fall back to the baseline:
     /// prefer replicas not yet tried this request, among those prefer

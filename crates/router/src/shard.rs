@@ -214,7 +214,7 @@ pub(crate) struct ReplicaSpec {
 
 /// A running shard replica and its worker thread. Stop by closing the
 /// lane (the router's scatter/gather `close()` does this for every
-/// replica at once) and calling [`ShardReplica::stop`].
+/// replica at once) and calling `ShardReplica::stop`.
 pub struct ShardReplica {
     segment: usize,
     replica: usize,

@@ -1,7 +1,7 @@
 //! Deterministic traffic generators for the service tier.
 //!
 //! * **Open loop** — arrivals follow a seeded Poisson process
-//!   (exponential inter-arrival times drawn from [`desim::rng`]);
+//!   (exponential inter-arrival times drawn from [`desim::rng()`]);
 //!   the generator submits on schedule regardless of completions,
 //!   so a service slower than the offered rate visibly backs up and
 //!   (per admission policy) sheds. The arrival *schedule* is a pure

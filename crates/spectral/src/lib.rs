@@ -17,10 +17,12 @@
 //!   spectrum comparison (relative-error distribution, paper Fig. 8),
 //! * [`calculator`] — the serial reference calculator ("original serial
 //!   APEC"): three nested loops — ions, levels, energy bins — each bin
-//!   being one small definite integral (paper Eq. 2).
+//!   being one small definite integral (paper Eq. 2). Its level-window
+//!   helpers ([`level_window`], [`window_bin_range`], [`ion_integrands`])
+//!   are shared with the engine's GPU kernel builder and cost model, so
+//!   every path skips exactly the same bins.
 
 pub mod calculator;
-pub mod delta;
 pub mod grid;
 pub mod ionpop;
 pub mod lines;
@@ -34,7 +36,6 @@ pub use calculator::{
     emissivity_into_mode, emissivity_per_bin_into, ion_emissivity_into, ion_emissivity_into_mode,
     ion_integrands, level_window, window_bin_range, Integrator, SerialCalculator,
 };
-pub use delta::{classify_ion, DeltaClass};
 pub use grid::EnergyGrid;
 pub use ionpop::cie_fractions;
 pub use lines::{full_spectrum, ion_lines_into, lines_for_ion, Line};

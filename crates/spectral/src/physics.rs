@@ -194,8 +194,8 @@ impl quadrature::BatchSampler for PreparedIntegrand {
 ///
 /// Uniform ascending grids (the case every fixed-rule quadrature
 /// routine produces) take a *lane-parallel* geometric recurrence: one
-/// `vexp` call seeds [`LANES`] anchor values, and from there the batch
-/// advances [`LANES`] independent multiply chains by the constant
+/// `vexp` call seeds `LANES` anchor values, and from there the batch
+/// advances `LANES` independent multiply chains by the constant
 /// `exp(-LANES·h/kT)` — the vector analogue of the `Exact` sampler's
 /// single serial chain, with the same 256-node re-anchoring to bound
 /// round-off drift. Non-uniform grids get an independent exponential

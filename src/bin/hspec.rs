@@ -5,7 +5,6 @@
 //! hspec predict  --gpus 3 --qlen 8 --granularity ion
 //! hspec tune     --gpus 2
 //! hspec nei      --element 8 --temp 1e7 --span 1e10
-//! hspec recalc   --temp 1e7 --dtemp-rel 1e-12 --steps 8 --gpus 2
 //! hspec serve    --shards 4 --replicas 2 --requests 16
 //! ```
 //!
@@ -45,7 +44,6 @@ fn main() -> ExitCode {
         "predict" => cmd_predict(&args),
         "tune" => cmd_tune(&args),
         "nei" => cmd_nei(&args),
-        "recalc" => cmd_recalc(&args),
         "serve" => cmd_serve(&args),
         "remnant" => cmd_remnant(&args),
         "run" => cmd_run(&args),
@@ -78,8 +76,6 @@ USAGE:
                  [--romberg-k K] [--async-window N]
   hspec tune     [--gpus N]
   hspec nei      [--element Z] [--temp K] [--density CM3] [--span S]
-  hspec recalc   [--temp K] [--dtemp-rel R] [--steps N] [--density CM3]
-                 [--bins N] [--max-z Z] [--gpus N] [--tolerance TOL]
   hspec serve    [--shards N] [--replicas R] [--requests N] [--max-z Z]
                  [--bins N] [--gpus N] [--cache N] [--rebalance true|false]
                  [--affinity] [--no-affinity] [--router-cache N] [--hot-k K]
@@ -428,77 +424,6 @@ fn cmd_nei(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Drive a device-resident spectrum through a temperature sweep: one
-/// full compute at the first point, then [`ResidentSpectrum::recalc`]
-/// deltas for every further step, reporting per-step reuse and the
-/// engine's resident accounting at shutdown.
-fn cmd_recalc(args: &Args) -> Result<(), String> {
-    use hybridspec::hybrid::{Engine, EngineConfig, ResidentSpectrum};
-
-    args.refuse_unknown(
-        "recalc",
-        "temp dtemp-rel steps density bins max-z gpus tolerance",
-    )?;
-    let temp: f64 = args.get("temp", 1e7)?;
-    let dtemp_rel: f64 = args.get("dtemp-rel", 1e-12)?;
-    let steps: usize = args.get("steps", 8)?;
-    let density: f64 = args.get("density", 1.0)?;
-    let bins: usize = args.get("bins", 200)?;
-    let max_z: u8 = args.get("max-z", 8)?;
-    let gpus: usize = args.get("gpus", 2)?;
-    let tolerance: f64 = args.get("tolerance", 1e-12)?;
-
-    let db = Arc::new(atomdb::AtomDatabase::generate(atomdb::DatabaseConfig {
-        max_z,
-        ..atomdb::DatabaseConfig::default()
-    }));
-    let grid = EnergyGrid::linear(50.0, 2000.0, bins);
-    let engine = Engine::start(EngineConfig {
-        gpus,
-        ..EngineConfig::deterministic(db, 4)
-    });
-    println!(
-        "resident sweep: {steps} step(s) of dT/T = {dtemp_rel:.1e} from {temp:.3e} K \
-         at tolerance {tolerance:.1e}"
-    );
-    {
-        let mut resident = ResidentSpectrum::new(&engine, grid).with_tolerance(tolerance);
-        for step in 0..=steps {
-            let point = rrc_spectral::GridPoint {
-                temperature_k: temp * (1.0 + dtemp_rel * step as f64),
-                density_cm3: density,
-                time_s: 0.0,
-                index: step,
-            };
-            let started = std::time::Instant::now();
-            let summary = resident.recalc(&point).map_err(|e| e.to_string())?;
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            let kind = if summary.full { "full " } else { "delta" };
-            println!(
-                "  step {step:3} ({kind}): reused {:3} / recomputed {:3} ion(s) in {elapsed_ms:8.2} ms",
-                summary.reused, summary.recomputed
-            );
-        }
-        let folded = resident.spectrum().expect("swept at least one point");
-        println!(
-            "  resident partials: {} ion(s) on-device; folded sum {:.6e}",
-            resident.resident_ions(),
-            folded.iter().sum::<f64>()
-        );
-    }
-    let report = engine.shutdown();
-    println!(
-        "engine accounting: {} delta recalc(s) / {} full recompute(s); \
-         {} reused vs {} recomputed ion(s); peak resident bytes {}",
-        report.resident_delta_recalcs,
-        report.resident_full_recomputes,
-        report.resident_reused_ions,
-        report.resident_recomputed_ions,
-        report.resident_bytes_peak
-    );
-    Ok(())
-}
-
 /// Bring up the sharded service tier, optionally level it with the
 /// capacity rebalancer, drive a deterministic open-loop load of
 /// distinct plasma states through it, and print (or dump as JSON) the
@@ -779,18 +704,6 @@ mod tests {
     fn predict_command_runs() {
         let a = args(&[("gpus", "1"), ("qlen", "6")]);
         cmd_predict(&a).unwrap();
-    }
-
-    #[test]
-    fn recalc_command_runs() {
-        let a = args(&[
-            ("max-z", "4"),
-            ("bins", "32"),
-            ("steps", "2"),
-            ("gpus", "1"),
-            ("dtemp-rel", "1e-13"),
-        ]);
-        cmd_recalc(&a).unwrap();
     }
 
     #[test]
