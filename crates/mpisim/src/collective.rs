@@ -1,11 +1,10 @@
 //! Scatter/gather collectives over [`BoundedQueue`] lanes.
 //!
 //! The sharded service tier fans one request out to many engine shards
-//! and folds their partial answers back together. [`RankCtx`]'s
-//! collectives assume a fixed rank world created by [`crate::run`];
-//! shard workers are long-lived threads with independent lifetimes, so
-//! the router needs the same scatter/gather *shape* over the queue
-//! primitive instead:
+//! and folds their partial answers back together. MPI's collectives
+//! assume a fixed rank world; shard workers are long-lived threads with
+//! independent lifetimes, so the router needs the same scatter/gather
+//! *shape* over the queue primitive instead:
 //!
 //! * [`ScatterGather`] owns one bounded lane per destination. A
 //!   [`ScatterGather::scatter`] call splits a request into parts, each
@@ -23,8 +22,6 @@
 //! Lock poisoning is tolerated throughout (inherited from
 //! [`BoundedQueue`]): a worker that panics mid-operation never wedges
 //! the other shards or the gathering caller.
-//!
-//! [`RankCtx`]: crate::RankCtx
 
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;

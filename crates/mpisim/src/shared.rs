@@ -3,9 +3,9 @@
 //! The paper's scheduler keeps two arrays in SysV shared memory: the
 //! per-device *load* (current queue occupancy) and the per-device
 //! *history task count*, both updated with atomic operations
-//! (paper §III-C). [`SharedRegion`] provides the same thing for rank
-//! threads: a fixed-size array of `AtomicU64` words with cheap cloneable
-//! handles.
+//! (paper §III-C). [`SharedRegion`] provides the same thing for the
+//! engine's worker threads: a fixed-size array of `AtomicU64` words with
+//! cheap cloneable handles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -25,9 +25,6 @@
 //!   bisection driven by a worst-first heap, Wynn ε-extrapolation), the
 //!   CPU fallback path of the scheduler, mirroring QUADPACK's `QAGS`
 //!   call contract (`errabs`, `errrel`).
-//! * [`improper`] — QAGI-style semi-infinite integrals (the `t/(1-t)`
-//!   compactification) and a recursive adaptive Simpson that serves as
-//!   an independent cross-check of the global strategy.
 //!
 //! All routines integrate `Fn(f64) -> f64` integrands over finite
 //! intervals and report both a value and an error estimate.
@@ -48,7 +45,6 @@
 pub mod adaptive;
 pub mod bins;
 pub mod gauss;
-pub mod improper;
 pub mod romberg;
 pub mod rules;
 pub mod sampler;
@@ -63,7 +59,6 @@ pub use bins::{
 };
 pub use error::{QuadError, QuadResult};
 pub use gauss::GaussLegendre;
-pub use improper::{adaptive_simpson, qagi};
 pub use romberg::romberg;
 pub use rules::{boole, midpoint, simpson, trapezoid, CompositeRule};
 pub use sampler::{

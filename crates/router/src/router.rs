@@ -46,8 +46,8 @@ use hybrid_spectral::engine::{EngineConfig, EngineReport};
 use hybrid_spectral::ion_task_cost;
 use mpi_sim::{OpenGather, ScatterGather};
 use rrc_service::{
-    assemble, selected_ions, CacheKey, Quantizer, ServiceError, SpectrumRequest, SpectrumResponse,
-    StateKey,
+    assemble, selected_ions, CacheKey, Quantizer, ServeCore, ServiceError, SpectrumRequest,
+    SpectrumResponse, StateKey,
 };
 use rrc_spectral::{EnergyGrid, GridPoint};
 
@@ -57,7 +57,7 @@ use crate::locality::{
 use crate::metrics::{ReplicaSnapshot, RouterMetrics, RouterSnapshot, SegmentSnapshot};
 use crate::resilience::{QuantileWindow, TokenBucket};
 use crate::ring::{splitmix64, HashRing};
-use crate::shard::{ReplicaSpec, ShardReplica, ShardRequest, ShardResponse};
+use crate::shard::{ShardReplica, ShardRequest, ShardResponse};
 
 /// Cache entries to warm-push, grouped by owning segment.
 type WarmBatches = BTreeMap<usize, Vec<(CacheKey, Arc<Vec<f64>>)>>;
@@ -328,20 +328,15 @@ impl ShardRouter {
             "each shard needs at least one replica"
         );
         let db = Arc::clone(&config.engine.db);
-        let bin_tables: Vec<Arc<Vec<(f64, f64)>>> = config
-            .grids
-            .iter()
-            .map(|g| Arc::new(g.bin_pairs()))
-            .collect();
         let ring = HashRing::new(config.ring_seed, config.shards, config.vnodes);
         let table: Vec<usize> = (0..db.ions().len())
             .map(|ion| ring.owner(ion as u64))
             .collect();
-        let capacity_bins = &bin_tables[0];
+        let capacity_bins = config.grids[0].bin_pairs();
         let costs: Vec<u64> = (0..db.ions().len())
             .map(|ion| {
                 let levels = db.levels_by_index(ion).len();
-                ion_task_cost(&db, ion, 0..levels, &CAPACITY_REF_POINT, capacity_bins)
+                ion_task_cost(&db, ion, 0..levels, &CAPACITY_REF_POINT, &capacity_bins)
             })
             .collect();
         let sg = ScatterGather::new(config.shards * config.replicas, config.lane_depth.max(1));
@@ -349,19 +344,14 @@ impl ShardRouter {
         for segment in 0..config.shards {
             for replica in 0..config.replicas {
                 let lane = sg.lane(segment * config.replicas + replica);
-                replicas.push(ShardReplica::start(
-                    ReplicaSpec {
-                        segment,
-                        replica,
-                        engine: config.engine.clone(),
-                        cache_capacity: config.cache_capacity,
-                        cache_shards: config.cache_shards,
-                        fanout_retries: config.fanout_retries,
-                        grids: config.grids.clone(),
-                        bin_tables: bin_tables.clone(),
-                    },
-                    lane,
-                ));
+                let core = ServeCore::start(
+                    config.engine.clone(),
+                    config.grids.clone(),
+                    config.cache_capacity,
+                    config.cache_shards,
+                    config.fanout_retries,
+                );
+                replicas.push(ShardReplica::start(segment, replica, core, lane));
             }
         }
         ShardRouter {

@@ -17,6 +17,10 @@
 //! * **batching** ([`service`]): in-flight requests that share a
 //!   quantized plasma state ([`quantize`]) coalesce into one per-ion
 //!   fan-out over the resident [`hybrid_spectral::engine::Engine`];
+//! * **serving** ([`serve`]): [`ServeCore`] owns the engine, cache,
+//!   metrics and grids and is the one lookup → fan-out → cache-insert
+//!   path, shared by this service's batcher and the router's shard
+//!   replicas;
 //! * **caching** ([`cache`]): a sharded LRU of per-ion partial
 //!   spectra keyed `(ion, quantized kT, density, grid)` — exact-key
 //!   hits return the original allocation, so cached answers are
@@ -32,6 +36,7 @@ pub mod cache;
 pub mod metrics;
 pub mod pqueue;
 pub mod quantize;
+pub mod serve;
 pub mod service;
 pub mod traffic;
 
@@ -42,9 +47,8 @@ pub use cache::{CacheKey, CacheStats, ShardedLruCache};
 pub use metrics::{MetricsSnapshot, ServiceMetrics, StageLatency};
 pub use pqueue::PriorityQueues;
 pub use quantize::{Quantizer, StateKey};
-pub use service::{
-    assemble, fill_misses, selected_ions, ServiceConfig, ServiceReport, SpectralService,
-};
+pub use serve::{ServeCore, Served};
+pub use service::{assemble, selected_ions, ServiceConfig, ServiceReport, SpectralService};
 pub use traffic::{
     cycling_requests, poisson_arrivals, run_closed_loop, run_open_loop, TrafficReport,
 };

@@ -4,8 +4,8 @@
 //! One batcher thread drains the bounded request queue. Each drain
 //! takes everything immediately available (up to `max_batch`), groups
 //! the requests by quantized plasma state + grid ([`StateKey`]), and
-//! per group fans the *union* of the requested ions out to the
-//! resident [`Engine`] — one [`IonJob`] per ion that the cache cannot
+//! per group serves the *union* of the requested ions through the
+//! [`ServeCore`] — one engine job per ion that the cache cannot
 //! already answer. Computed partials are wrapped in `Arc`s, stored in
 //! the cache, and every request of the group is answered by summing
 //! its selected ions **in ascending ion order**. Because the fold
@@ -23,15 +23,16 @@ use std::time::Instant;
 use atomdb::AtomDatabase;
 use desim::{Priority, VirtualClock};
 use hybrid_sched::SchedulerSnapshot;
-use hybrid_spectral::engine::{Engine, EngineConfig, EngineReport, IonJob, IonOutcome};
+use hybrid_spectral::engine::{EngineConfig, EngineReport};
 use mpi_sim::TryPushError;
 use rrc_spectral::EnergyGrid;
 
 use crate::api::{AdmissionPolicy, ServiceError, SpectrumRequest, SpectrumResponse, Ticket};
-use crate::cache::{CacheKey, CacheStats, ShardedLruCache};
-use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::cache::CacheStats;
+use crate::metrics::MetricsSnapshot;
 use crate::pqueue::PriorityQueues;
 use crate::quantize::{Quantizer, StateKey};
+use crate::serve::ServeCore;
 
 /// Configuration of a [`SpectralService`].
 #[derive(Debug, Clone)]
@@ -114,19 +115,14 @@ struct QueuedRequest {
 }
 
 struct Shared {
-    grids: Vec<EnergyGrid>,
-    bin_tables: Vec<Arc<Vec<(f64, f64)>>>,
+    core: ServeCore,
     /// Most requests one batch coalesces ([`ServiceConfig::max_batch`],
     /// floored at 1).
     max_batch: usize,
     /// The one quantizer every request is keyed with
     /// ([`ServiceConfig::quantize_drop_bits`]).
     quantizer: Quantizer,
-    fanout_retries: u32,
     queue: PriorityQueues<QueuedRequest>,
-    engine: Engine,
-    cache: ShardedLruCache,
-    metrics: ServiceMetrics,
 }
 
 /// The running service. Submit from any thread; shut down (or drop)
@@ -138,7 +134,7 @@ pub struct SpectralService {
 }
 
 impl SpectralService {
-    /// Bring the service up: engine, cache, metrics, batcher thread.
+    /// Bring the service up: serving core, queues, batcher thread.
     ///
     /// # Panics
     /// Panics if `config.grids` is empty — a service with no grid can
@@ -146,16 +142,9 @@ impl SpectralService {
     #[must_use]
     pub fn start(config: ServiceConfig) -> SpectralService {
         assert!(!config.grids.is_empty(), "service needs at least one grid");
-        let bin_tables = config
-            .grids
-            .iter()
-            .map(|g| Arc::new(g.bin_pairs()))
-            .collect();
         let shared = Arc::new(Shared {
-            bin_tables,
             max_batch: config.max_batch.max(1),
             quantizer: Quantizer::new(config.quantize_drop_bits),
-            fanout_retries: config.fanout_retries,
             queue: PriorityQueues::new(
                 [
                     config.request_queue_depth.max(1),
@@ -163,10 +152,13 @@ impl SpectralService {
                 ],
                 config.interactive_weight,
             ),
-            engine: Engine::start(config.engine),
-            cache: ShardedLruCache::new(config.cache_capacity, config.cache_shards),
-            metrics: ServiceMetrics::new(),
-            grids: config.grids,
+            core: ServeCore::start(
+                config.engine,
+                config.grids,
+                config.cache_capacity,
+                config.cache_shards,
+                config.fanout_retries,
+            ),
         });
         let batcher = {
             let shared = Arc::clone(&shared);
@@ -208,13 +200,14 @@ impl SpectralService {
     /// thread and returns an already-resolved ticket.
     pub fn submit(&self, request: SpectrumRequest) -> Result<Ticket, ServiceError> {
         let shared = self.shared();
-        if request.grid_id >= shared.grids.len() {
+        let metrics = shared.core.recorder();
+        if request.grid_id >= shared.core.grids().len() {
             return Err(ServiceError::UnknownGrid);
         }
         if let Some(deadline) = request.deadline {
-            let estimate = estimate_request_seconds(shared, &request);
-            if deadline.remaining(&shared.engine.config().clock) < estimate {
-                shared.metrics.on_shed_infeasible();
+            let estimate = estimate_request_seconds(&shared.core, &request);
+            if deadline.remaining(&shared.core.engine().config().clock) < estimate {
+                metrics.on_shed_infeasible();
                 return Err(ServiceError::DeadlineInfeasible);
             }
         }
@@ -227,21 +220,19 @@ impl SpectralService {
         };
         match shared.queue.try_push(priority, queued) {
             Ok(()) => {
-                shared.metrics.on_submitted(shared.queue.len());
+                metrics.on_submitted(shared.queue.len());
                 Ok(Ticket { rx })
             }
             Err(TryPushError::Closed(_)) => Err(ServiceError::Closed),
             Err(TryPushError::Full(queued)) => match self.admission {
                 AdmissionPolicy::Shed => {
-                    shared.metrics.on_shed_queue_full();
+                    metrics.on_shed_queue_full();
                     Err(ServiceError::Overloaded)
                 }
                 AdmissionPolicy::CallerRuns => {
                     let start = queued.submitted_at;
                     let response = caller_run(shared, &queued.request);
-                    shared
-                        .metrics
-                        .on_caller_run(priority, start.elapsed().as_secs_f64());
+                    metrics.on_caller_run(priority, start.elapsed().as_secs_f64());
                     Ok(Ticket::resolved(Ok(response)))
                 }
             },
@@ -270,31 +261,26 @@ impl SpectralService {
     /// engine's [`EngineConfig::clock`]).
     #[must_use]
     pub fn clock(&self) -> &VirtualClock {
-        &self.shared().engine.config().clock
+        &self.shared().core.engine().config().clock
     }
 
     /// Live metrics snapshot, including the scheduler's steal counters
     /// and weighted backlogs.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let shared = self.shared();
-        shared
-            .metrics
-            .snapshot()
-            .with_scheduler(&shared.engine.scheduler_snapshot())
-            .with_cache(&shared.cache)
+        self.shared().core.metrics()
     }
 
     /// Live cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared().cache.stats()
+        self.shared().core.cache().stats()
     }
 
     /// Live scheduler load/history view of the backing engine.
     #[must_use]
     pub fn scheduler_snapshot(&self) -> SchedulerSnapshot {
-        self.shared().engine.scheduler_snapshot()
+        self.shared().core.engine().scheduler_snapshot()
     }
 
     /// Graceful shutdown: refuse new requests, answer everything
@@ -313,18 +299,7 @@ impl SpectralService {
         let shared = Arc::try_unwrap(shared)
             .ok()
             .expect("batcher joined; no other holders of the service state");
-        let cache = shared.cache.stats();
-        let metrics = shared
-            .metrics
-            .snapshot()
-            .with_scheduler(&shared.engine.scheduler_snapshot())
-            .with_cache(&shared.cache);
-        let engine = shared.engine.shutdown();
-        Some(ServiceReport {
-            engine,
-            cache,
-            metrics,
-        })
+        Some(shared.core.shutdown())
     }
 }
 
@@ -377,90 +352,23 @@ pub fn assemble(
     out
 }
 
-/// Compute the cache-missing `pending` ions of state `key` on `engine`
-/// and cache each answer under `(ion, key)` — the miss path the service
-/// batcher and every shard replica share. `job` builds one ion's
-/// [`IonJob`] around its reply sender. Under the engine's recovery
-/// ladder every job normally answers (retry → reassign → CPU
-/// fallback), but with CPU fallback disabled a job that exhausts its
-/// device retries is dropped without a reply: the unanswered ions are
-/// fanned out again up to `retries` times, each re-fan counted with
-/// [`ServiceMetrics::on_fanout_retry`].
-///
-/// Returns the answered partials (the `Arc`s now cached) and whether
-/// the engine refused a submission because it is shutting down;
-/// `pending` is left holding the ions that never answered.
-pub fn fill_misses(
-    engine: &Engine,
-    cache: &ShardedLruCache,
-    metrics: &ServiceMetrics,
-    retries: u32,
-    key: StateKey,
-    pending: &mut Vec<usize>,
-    job: impl Fn(usize, Sender<IonOutcome>) -> IonJob,
-) -> (BTreeMap<usize, Arc<Vec<f64>>>, bool) {
-    let mut answered = BTreeMap::new();
-    let mut closed = false;
-    let mut refanouts = 0u32;
-    while !pending.is_empty() {
-        let fanned = engine.fan_out(pending.iter().copied(), &job);
-        closed |= fanned.closed;
-        for outcome in fanned.outcomes {
-            let value = Arc::new(outcome.partial);
-            cache.insert(
-                CacheKey {
-                    ion_index: outcome.ion_index,
-                    state: key,
-                },
-                Arc::clone(&value),
-            );
-            answered.insert(outcome.ion_index, value);
-        }
-        pending.retain(|ion| !answered.contains_key(ion));
-        if pending.is_empty() || refanouts >= retries {
-            break;
-        }
-        refanouts += 1;
-        metrics.on_fanout_retry(pending.len() as u64);
-    }
-    (answered, closed)
-}
-
 /// The caller-runs admission path: resolve the whole request on the
-/// submitting thread via [`Engine::compute_inline`], still consulting
+/// submitting thread via [`ServeCore::serve_inline`], still consulting
 /// and filling the shared cache (so an overloaded burst of repeated
 /// queries stays cheap).
 fn caller_run(shared: &Shared, request: &SpectrumRequest) -> SpectrumResponse {
-    let db = &shared.engine.config().db;
+    let core = &shared.core;
     let key = shared.quantizer.state_key(&request.point, request.grid_id);
     let point = shared.quantizer.representative(&key);
-    let grid = &shared.grids[request.grid_id];
-    let ions = selected_ions(db, request);
-    let mut partials: BTreeMap<usize, Arc<Vec<f64>>> = BTreeMap::new();
-    let mut computed = 0u64;
-    for &ion in &ions {
-        let cache_key = CacheKey {
-            ion_index: ion,
-            state: key,
-        };
-        let partial = match shared.cache.get(&cache_key) {
-            Some(hit) => hit,
-            None => {
-                let levels = db.levels_by_index(ion).len();
-                let outcome = shared.engine.compute_inline(ion, 0..levels, &point, grid);
-                computed += 1;
-                let value = Arc::new(outcome.partial);
-                shared.cache.insert(cache_key, Arc::clone(&value));
-                value
-            }
-        };
-        partials.insert(ion, partial);
-    }
+    let ions = selected_ions(&core.engine().config().db, request);
+    let served = core.serve_inline(key, &point, &ions);
+    let from_cache = served.hits as u64;
+    let partials: BTreeMap<usize, Arc<Vec<f64>>> = served.partials.into_iter().collect();
     SpectrumResponse {
-        bins: assemble(grid.bins(), &ions, &partials),
+        bins: assemble(core.grids()[request.grid_id].bins(), &ions, &partials),
         grid_id: request.grid_id,
-        ions_computed: computed,
-        ions_from_cache: ions.len() as u64 - computed,
+        ions_computed: ions.len() as u64 - from_cache,
+        ions_from_cache: from_cache,
         caller_ran: true,
     }
 }
@@ -472,19 +380,18 @@ fn caller_run(shared: &Shared, request: &SpectrumRequest) -> SpectrumResponse {
 /// admission must only shed requests that are infeasible even under
 /// the best placement. Before the first measured settle the estimate
 /// is 0 (no absolute time scale yet → admit).
-fn estimate_request_seconds(shared: &Shared, request: &SpectrumRequest) -> f64 {
-    let db = &shared.engine.config().db;
-    let bins = &shared.bin_tables[request.grid_id];
+fn estimate_request_seconds(core: &ServeCore, request: &SpectrumRequest) -> f64 {
+    let engine = core.engine();
+    let db = &engine.config().db;
+    let bins = core.bins(request.grid_id);
     let serial: f64 = selected_ions(db, request)
         .into_iter()
         .map(|ion| {
             let levels = db.levels_by_index(ion).len();
-            shared
-                .engine
-                .estimate_task_seconds(ion, 0..levels, &request.point, bins)
+            engine.estimate_task_seconds(ion, 0..levels, &request.point, bins)
         })
         .sum();
-    serial / shared.engine.gpus().max(1) as f64
+    serial / engine.gpus().max(1) as f64
 }
 
 fn batcher_loop(shared: &Shared) {
@@ -497,18 +404,19 @@ fn batcher_loop(shared: &Shared) {
             }
         }
         let picked_at = Instant::now();
+        let metrics = shared.core.recorder();
         for queued in &batch {
-            shared
-                .metrics
-                .on_picked_up(picked_at.duration_since(queued.submitted_at).as_secs_f64());
+            metrics.on_picked_up(picked_at.duration_since(queued.submitted_at).as_secs_f64());
         }
-        shared.metrics.on_batch(batch.len());
+        metrics.on_batch(batch.len());
         process_batch(shared, batch, picked_at);
     }
 }
 
 fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant) {
-    let db = &shared.engine.config().db;
+    let core = &shared.core;
+    let metrics = core.recorder();
+    let db = &core.engine().config().db;
     // Group requests sharing a quantized plasma state + grid; BTreeMap
     // so group processing order is deterministic.
     let mut groups: BTreeMap<StateKey, Vec<usize>> = BTreeMap::new();
@@ -521,16 +429,17 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
 
     for (key, members) in groups {
         let point = shared.quantizer.representative(&key);
-        let grid = &shared.grids[key.grid_id];
-        let bins = &shared.bin_tables[key.grid_id];
+        let grid = &core.grids()[key.grid_id];
 
-        // Per-request ion lists and their union — one fan-out serves
-        // every member of the group.
+        // Per-request ion lists and their ascending union — one serve
+        // answers every member of the group.
         let member_ions: Vec<Vec<usize>> = members
             .iter()
             .map(|&i| selected_ions(db, &batch[i].request))
             .collect();
-        let union: BTreeSet<usize> = member_ions.iter().flatten().copied().collect();
+        let mut union: Vec<usize> = member_ions.concat();
+        union.sort_unstable();
+        union.dedup();
         // The group's earliest deadline rides on every fanned-out ion:
         // one fan-out serves all members, so EDF staging must honour
         // the most urgent of them (INFINITY when none carries an SLO).
@@ -539,53 +448,20 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
             .map(|&i| batch[i].request.deadline_secs())
             .fold(f64::INFINITY, f64::min);
 
-        let mut partials: BTreeMap<usize, Arc<Vec<f64>>> = BTreeMap::new();
-        let mut computed: BTreeSet<usize> = BTreeSet::new();
-        let mut pending: Vec<usize> = Vec::new();
-        for &ion in &union {
-            let cache_key = CacheKey {
-                ion_index: ion,
-                state: key,
-            };
-            match shared.cache.get(&cache_key) {
-                Some(hit) => {
-                    partials.insert(ion, hit);
-                }
-                None => {
-                    computed.insert(ion);
-                    pending.push(ion);
-                }
-            }
-        }
+        let served = core.serve(key, &point, &union, group_deadline);
+        let computed: BTreeSet<usize> = served.partials[served.hits..]
+            .iter()
+            .map(|&(ion, _)| ion)
+            .collect();
+        let partials: BTreeMap<usize, Arc<Vec<f64>>> = served.partials.into_iter().collect();
+        let failed = served.failed;
 
         // Requests touching an ion the engine never answered are
         // refused.
-        let (answered, closed) = fill_misses(
-            &shared.engine,
-            &shared.cache,
-            &shared.metrics,
-            shared.fanout_retries,
-            key,
-            &mut pending,
-            |ion, reply| IonJob {
-                ion_index: ion,
-                level_range: 0..db.levels_by_index(ion).len(),
-                point,
-                grid: grid.clone(),
-                bins: Arc::clone(bins),
-                tag: ion as u64,
-                deadline: group_deadline,
-                reply,
-            },
-        );
-        assert!(!closed, "engine outlives the batcher");
-        partials.extend(answered);
-        let failed: BTreeSet<usize> = pending.into_iter().collect();
-
         for (&i, ions) in members.iter().zip(&member_ions) {
             let queued = &batch[i];
             if ions.iter().any(|ion| failed.contains(ion)) {
-                shared.metrics.on_device_failure();
+                metrics.on_device_failure();
                 let _ = queued.reply.send(Err(ServiceError::DeviceFailed));
                 continue;
             }
@@ -601,7 +477,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedRequest>, picked_at: Instant)
             // that reads the metrics right after `Ticket::wait` returns
             // must find its own response in them.
             let now = Instant::now();
-            shared.metrics.on_responded(
+            metrics.on_responded(
                 queued.request.priority,
                 now.duration_since(picked_at).as_secs_f64(),
                 now.duration_since(queued.submitted_at).as_secs_f64(),
